@@ -29,7 +29,7 @@ The package provides:
 * a multi-cube catalog (:mod:`repro.catalog`) — named serving cubes over one
   durable directory (per-cube snapshots + replayable append streams),
 * concurrent serving (:mod:`repro.server`) — an asyncio front end with query
-  batching, back-pressure, and copy-on-publish appends (optionally computed
+  batching, back-pressure, and O(delta)-publish appends (optionally computed
   in a process pool) that never block the read hot path; ``python -m
   repro.server`` exposes it over a line-JSON TCP protocol,
 * a replicated serving tier (:mod:`repro.replication`) — per-cube

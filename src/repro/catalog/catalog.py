@@ -296,8 +296,9 @@ class CubeCatalog:
         merge *failure* (bad rows) rolls the journal entry back.  Rows must
         be JSON-serialisable (they are for every protocol-fed workload); for
         non-JSON values append on the cube directly and :meth:`save` to
-        persist.  ``copy_on_publish`` / ``executor`` pass through to
-        :meth:`repro.session.serving.ServingCube.append`.
+        persist.  ``executor`` passes through to
+        :meth:`repro.session.serving.ServingCube.append`; ``copy_on_publish``
+        is accepted for compatibility and ignored, as it is there.
 
         ``lease`` carries the replicated tier's single-writer claim: any
         object with ``holder_id`` / ``epoch`` attributes (in practice a
@@ -334,9 +335,7 @@ class CubeCatalog:
                     offset = stream.tell()
                     stream.write(record)
             try:
-                report = cube.append(
-                    rows, copy_on_publish=copy_on_publish, executor=executor
-                )
+                report = cube.append(rows, executor=executor)
             except BaseException:
                 # The journal must not replay a batch the cube rejected —
                 # but other writers may have journaled *after* this line

@@ -13,8 +13,18 @@ needs:
 * cube size accounting in cells and estimated bytes (Figures 13 and 14),
 * incremental maintenance — :meth:`CubeResult.merge` folds a delta cube into
   this one with aggregation-based closedness repair
-  (:mod:`repro.incremental.merge`), keeping the lazily built closure index
-  up to date in place.
+  (:mod:`repro.incremental.merge`).
+
+Together with its closure index (:class:`repro.query.index.CubeIndex`) a cube
+is one **versioned, append-only store**.  A :class:`CellStats` is never
+mutated once recorded: maintenance hands :meth:`CubeResult.apply` a *new*
+stats object per added or grown cell, the cell map and the cell's index slot
+are re-pointed at it, and the index logs the superseded object.  That makes
+one maintenance step cost O(changed cells) — nothing is cloned, nothing is
+re-indexed — and lets readers pin a version by remembering two lengths
+(:class:`repro.query.index.PinnedIndex`).  ``docs/PAPER_NOTES.md`` ("closedness
++ monotone counts make publish O(delta)") has the argument for why an
+append-only store is all that append-only maintenance of a closed cube needs.
 """
 
 from __future__ import annotations
@@ -22,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -56,6 +66,9 @@ class CellStats:
     measure name.  ``rep_tid`` is the representative tuple id when the
     producing algorithm tracked one (the closed algorithms do); it is not part
     of cube equality.
+
+    Treat instances as immutable once they are in a cube: pinned readers and
+    the index's supersession log keep referring to the object they were given.
     """
 
     count: int
@@ -81,11 +94,12 @@ class CubeResult:
     def __init__(self, num_dims: int, name: str = "") -> None:
         self.num_dims = num_dims
         self.name = name
+        #: Every live cell's *latest* statistics.
         self._cells: Dict[Cell, CellStats] = {}
         #: Lazily built closure index (see :meth:`closure_index`); once built
-        #: it is maintained *in place* — every mutation below updates it, so
-        #: reads never observe a stale view and serving engines keep their
-        #: index across incremental merges.
+        #: it is extended by :meth:`add` / :meth:`apply`, so reads never
+        #: observe a stale view and serving engines keep their index across
+        #: incremental merges.
         self._closure_index: Optional[object] = None
         #: The payload measure set the producing run aggregated, attached by
         #: :meth:`repro.algorithms.base.CubingAlgorithm.run`.  Incremental
@@ -121,54 +135,38 @@ class CubeResult:
         if self._closure_index is not None:
             self._closure_index.add_cells([(cell, stats)])
 
-    def upsert(
-        self,
-        cell: Cell,
-        count: int,
-        measures: Optional[Dict[str, float]] = None,
-        rep_tid: Optional[int] = None,
-    ) -> bool:
-        """Insert a cell, or replace the stats of an existing one in place.
+    def apply(self, slots: Sequence[Tuple[Cell, CellStats]]) -> None:
+        """Record the next version of each given cell (the maintenance write).
 
-        The maintenance counterpart of :meth:`add` (which treats duplicates as
-        algorithm bugs): incremental merge legitimately *updates* cells whose
-        groups grew.  Existing :class:`CellStats` objects are mutated rather
-        than replaced, so a live closure index — and any serving engine built
-        over it — observes the new statistics without rebuilding.  Returns
-        ``True`` when the cell was newly added.
+        The counterpart of :meth:`add` for incremental merges, which
+        legitimately *grow* existing cells: every ``(cell, stats)`` pair
+        either adds a new cell or supersedes the cell's current statistics.
+        Nothing is mutated — the cell map, and a live closure index's slot
+        for the cell, are re-pointed at the given stats object — so the cost
+        is O(len(slots)) and earlier versions stay readable through
+        :class:`repro.query.index.PinnedIndex`.
         """
-        stats = self._cells.get(cell)
-        if stats is None:
-            self.add(cell, count, measures, rep_tid)
-            return True
-        stats.count = count
-        stats.measures = dict(measures or {})
-        stats.rep_tid = rep_tid
+        self._cells.update(slots)
         if self._closure_index is not None:
-            self._closure_index.touch_cell(cell)
-        return False
+            self._closure_index.add_cells(slots)
 
     def shift_rep_tids(self, offset: int) -> None:
-        """Shift every representative tuple id by ``offset`` (in place).
+        """Shift every representative tuple id by ``offset``.
 
         Used by delta-mode runs: a delta cube is computed over a re-based
         slice of the grown relation, and its rep_tids must be translated back
-        into the full relation's tid space before merging.  Counts, measures,
-        and the closure index are unaffected.
+        into the full relation's tid space before merging.  Every cell gets a
+        fresh stats object (none is edited), so any closure index built so
+        far is dropped and rebuilt on next use.
         """
         if offset == 0:
             return
-        for stats in self._cells.values():
-            if stats.rep_tid is not None:
-                stats.rep_tid += offset
-
-    def remove(self, cell: Cell) -> None:
-        """Drop a materialised cell (and its posting-list entries, if indexed)."""
-        if cell not in self._cells:
-            raise ValidationError(f"cell {cell!r} is not materialised")
-        del self._cells[cell]
-        if self._closure_index is not None:
-            self._closure_index.remove_cells([cell])
+        self._cells = {
+            cell: stats if stats.rep_tid is None
+            else CellStats(stats.count, stats.measures, stats.rep_tid + offset)
+            for cell, stats in self._cells.items()
+        }
+        self._closure_index = None
 
     def merge(
         self,
@@ -176,8 +174,6 @@ class CubeResult:
         relation: Relation,
         measures: Optional[MeasureSet] = None,
         delta_tid_offset: int = 0,
-        batch_size: Optional[int] = None,
-        yield_between_batches: Optional[Callable[[], None]] = None,
     ) -> "MergeReport":
         """Fold a delta closed cube into this one, repairing closedness.
 
@@ -192,13 +188,14 @@ class CubeResult:
         shifted).  ``measures`` overrides the measure set used to merge
         payload values; by default the cube's own :attr:`measure_set` is used.
 
-        Mutates this cube in place (cells added and updated, never removed —
-        appending tuples can only create or grow closed cells) and keeps the
-        live closure index current.  See :mod:`repro.incremental.merge` for
-        the algorithm and the closedness-repair argument; ``batch_size`` /
-        ``yield_between_batches`` bound how long the merge runs between
-        scheduler yield points (same semantics as
-        :func:`~repro.incremental.merge.merge_closed_cubes`).
+        Applies the result to this cube (cells added and superseded, never
+        removed — appending tuples can only create or grow closed cells)
+        through :meth:`apply`, which keeps a live closure index current.  A
+        *served* cube is not merged this way: its maintainer evaluates the
+        merge with ``apply=False`` and lands the slots inside
+        :meth:`repro.query.engine.QueryEngine.publish`.  See
+        :mod:`repro.incremental.merge` for the algorithm and the
+        closedness-repair argument.
         """
         from ..incremental.merge import merge_closed_cubes
 
@@ -208,28 +205,26 @@ class CubeResult:
             relation,
             measures=measures,
             delta_tid_offset=delta_tid_offset,
-            batch_size=batch_size,
-            yield_between_batches=yield_between_batches,
         )
 
     def clone(self) -> "CubeResult":
-        """An independent deep copy of the cells (fresh :class:`CellStats`).
+        """An independent copy of the store, without superseded statistics.
 
-        The substrate of copy-on-publish maintenance: the concurrent serving
-        path merges a delta into a *clone* while queries keep reading the
-        original, then publishes the clone with one reference swap
-        (:meth:`repro.query.engine.QueryEngine.publish`).  Cloning a closed
-        cube is cheap by design — closedness collapses every equivalence
-        class of the quotient lattice to one materialised cell, so the copy
-        is proportional to the closed cube, not to the full cube lattice.
-        The clone shares nothing mutable with the original (its closure index
-        is rebuilt lazily on first use) and carries the same
-        :attr:`measure_set`.
+        The compacting rebuild: appends leave one superseded statistics
+        record behind per grown cell (kept for pinned views), and once those
+        outnumber the live cells the maintainer swaps in a clone
+        (:meth:`repro.query.engine.QueryEngine.swap_store`) — an O(closed
+        cube) step, all of it C-speed container copies, amortised over the
+        appends that made it necessary.  The clone has its own cell map and,
+        when this cube's closure index is built, its own copy of that (same
+        slots, empty log); the :class:`CellStats` objects are shared, which
+        is safe because they are immutable.  Writes to either cube never show
+        in the other.
         """
         other = CubeResult(self.num_dims, name=self.name)
-        cells = other._cells
-        for cell, stats in self._cells.items():
-            cells[cell] = CellStats(stats.count, dict(stats.measures), stats.rep_tid)
+        other._cells = dict(self._cells)
+        if self._closure_index is not None:
+            other._closure_index = self._closure_index.compacted()
         other.measure_set = self.measure_set
         return other
 
@@ -303,10 +298,10 @@ class CubeResult:
         """The lazily built inverted index used by :meth:`closure_query`.
 
         Returns a :class:`repro.query.index.CubeIndex` over the current
-        cells, built on first use and thereafter maintained *in place* by
-        :meth:`add` / :meth:`upsert` / :meth:`remove` — the same object stays
-        valid across incremental merges, which is what lets serving engines
-        keep their index warm while the cube grows.  The import is deferred
+        cells, built on first use and thereafter extended by :meth:`add` /
+        :meth:`apply` — the same object stays valid across incremental
+        merges, which is what lets serving engines keep their index warm
+        while the cube grows.  The import is deferred
         to keep the package layering one-way at import time (``repro.query``
         builds on ``repro.core``; the core only reaches back at call time).
         """

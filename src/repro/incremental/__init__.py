@@ -13,11 +13,10 @@ that cube *maintainable* under appended fact rows:
   single tuple list.
 * :mod:`repro.incremental.maintainer` — the orchestration the session layer
   uses: append rows to the relation (growing dictionaries append-only), plan
-  and run a delta cube over only the new tuples, merge it in, update the
-  live closure index, and invalidate exactly the cached answers the changed
-  cells can affect.  Two switches adapt it to concurrent serving:
-  ``copy_on_publish`` (merge into a clone, land atomically) and ``executor``
-  (offload the cubing compute).
+  and run a delta cube over only the new tuples, evaluate its merge against
+  the live store, and publish the changed cells' new slots — O(delta), safe
+  beside concurrent readers — invalidating exactly the cached answers they
+  can affect.  ``executor`` offloads the cubing compute.
 * :mod:`repro.incremental.parallel` — the picklable work units and the
   ``spawn`` process pool (:func:`create_refresh_pool`) that let delta cubes
   and partition recomputes run outside the serving process's GIL.

@@ -1,4 +1,4 @@
-"""Append orchestration: delta-compute → merge → index update → cache repair.
+"""Append orchestration: delta-compute → evaluate merge → publish the slots.
 
 :class:`CubeMaintainer` is the engine room behind
 :meth:`repro.session.serving.ServingCube.append`.  Given freshly appended raw
@@ -12,11 +12,22 @@ rows it:
    often much denser or smaller than the base, so its best engine differs),
 3. computes the delta closed cube over just the appended tuples
    (:meth:`~repro.algorithms.base.CubingAlgorithm.run_delta`),
-4. merges it into the served cube with aggregation-based closedness repair
-   (:func:`repro.incremental.merge.merge_closed_cubes`), which keeps the
-   engine's live closure index current in place, and
-5. invalidates exactly the cached answers the changed cells can affect —
-   both the engine's encoded answer cache and the session's decoded cache.
+4. *evaluates* its merge into the served cube with aggregation-based
+   closedness repair (:func:`repro.incremental.merge.merge_closed_cubes`
+   with ``apply=False``) — this only reads the live store, so queries in
+   other threads keep flowing, with a GIL yield between candidate batches —
+   and
+5. hands the resulting slots to :meth:`repro.query.engine.QueryEngine.
+   publish`, which appends them to the store, swaps the rollup tables and
+   invalidates exactly the cached answers the changed cells can affect (the
+   engine's encoded caches and the session's decoded cache) in one short
+   exclusive section.
+
+Every step is O(delta): nothing is cloned and nothing is re-indexed.  What an
+append leaves behind is one superseded statistics record per cell it grew
+(kept for pinned views); once those outnumber the live cells
+(:func:`CubeMaintainer._compact_store`) the store is rebuilt without them off
+the hot path and swapped in, which amortises to O(delta) per append as well.
 
 When the incremental path cannot be exact it degrades explicitly rather than
 approximately: iceberg cubes (``min_sup > 1``) and non-closed cubes fall back
@@ -27,32 +38,26 @@ relations beyond :data:`MAX_DELTA_DIMS` dimensions recompute because the
 merge's candidate enumeration is exponential in dimensionality in the worst
 case.  The chosen path is reported, never silent.
 
-Two orthogonal switches adapt the maintainer to concurrent serving
-(:mod:`repro.server`):
-
-* ``copy_on_publish`` merges into a private clone of the served cube and
-  makes the result visible with one atomic
-  :meth:`~repro.query.engine.QueryEngine.publish`, so queries running in
-  other threads never observe a half-applied merge (the default in-place
-  merge mutates shared cells and is only safe single-threaded);
-* ``executor`` ships the cubing work (the delta cube, the per-partition
-  recomputes) to a :mod:`concurrent.futures` executor — with the process
-  pool from :func:`repro.incremental.parallel.create_refresh_pool`, an
-  append's CPU burn escapes the GIL and the serving threads entirely.
+``executor`` ships the cubing work (the delta cube and, for small cubes, the
+whole merge evaluation; the per-partition recomputes) to a
+:mod:`concurrent.futures` executor — with the process pool from
+:func:`repro.incremental.parallel.create_refresh_pool`, an append's CPU burn
+escapes the GIL and the serving threads entirely.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from ..algorithms.base import CubingOptions, get_algorithm
 from ..core.cube import CubeResult
 from ..core.errors import IncrementalError, MeasureError
 from ..core.measures import MeasureSet
-from ..query.engine import PartitionedQueryEngine, QueryEngine, invalidate_answers
+from ..query.engine import QueryEngine
 from .merge import MergeReport
 from .parallel import (
     MergeTask,
@@ -65,6 +70,8 @@ from .parallel import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..session.serving import ServingCube
+
+logger = logging.getLogger(__name__)
 
 #: Beyond this many dimensions the merge's candidate enumeration (all cells
 #: with delta support — worst case exponential in D) loses to recomputation;
@@ -80,9 +87,9 @@ MAX_DELTA_DIMS = 12
 #: process.
 REMOTE_MERGE_MAX_CELLS = 200_000
 
-#: Candidates (and apply-phase upserts) processed between scheduler yields
-#: by the chunked copy-on-publish merge.  At ~10–30 µs per candidate the
-#: default keeps each GIL-holding stretch well under 100 ms.
+#: Candidates evaluated between scheduler yields by the chunked merge.  At
+#: ~10–30 µs per candidate this keeps each GIL-holding stretch well under
+#: 100 ms.
 MERGE_BATCH_SIZE = 2048
 
 
@@ -114,6 +121,9 @@ class AppendReport:
     #: How the remote-merge path shipped its payload (``"delta-send"``,
     #: ``"full-send (cold)"``, ``"full-send (miss)"``); ``None`` off that path.
     merge_cache: Optional[str] = None
+    #: Seconds the delta-merge publish held the engine's write lock — the
+    #: only stretch of the append during which queries wait.
+    publish_seconds: float = 0.0
 
     def describe(self) -> str:
         lines = [
@@ -138,23 +148,10 @@ class CubeMaintainer:
     def __init__(
         self,
         serving: "ServingCube",
-        copy_on_publish: bool = False,
         executor: Optional[Executor] = None,
-        merge_batch_size: Optional[int] = None,
-        merge_yield: Optional[Callable[[], None]] = None,
     ) -> None:
         self.serving = serving
-        self.copy_on_publish = copy_on_publish
         self.executor = executor
-        # Copy-on-publish merges run while query threads are live, so they
-        # default to chunked evaluation with GIL yields between batches; the
-        # single-threaded in-place path stays one uninterrupted pass.
-        if merge_batch_size is None and copy_on_publish:
-            merge_batch_size = MERGE_BATCH_SIZE
-        if merge_yield is None and copy_on_publish:
-            merge_yield = _yield_gil
-        self.merge_batch_size = merge_batch_size
-        self.merge_yield = merge_yield
 
     # ------------------------------------------------------------------ #
 
@@ -216,7 +213,7 @@ class CubeMaintainer:
         table's ``covered_tuples``, not this append's ``start_tid`` — tables
         installed mid-stream stay exact), with the same chunked-yield
         discipline as the cube merge.  ``None`` when no router is installed,
-        so the paths below can skip the rollup swap entirely.
+        so the publish can skip the rollup swap entirely.
         """
         engine = self.serving.engine
         router = getattr(engine, "router", None)
@@ -225,14 +222,18 @@ class CubeMaintainer:
         return {
             grain: table.merged_delta(
                 relation,
-                batch_size=self.merge_batch_size,
-                yield_between_batches=self.merge_yield,
+                batch_size=MERGE_BATCH_SIZE,
+                yield_between_batches=_yield_gil,
             )
             for grain, table in router.tables.items()
         }
 
     def _delta_merge(self, start_tid: int, started: float) -> AppendReport:
         from ..session.planner import plan_algorithm
+
+        # Resolved per call, like CubeResult.merge does, so that a tracer
+        # wrapping the module attribute sees this call too.
+        from .merge import merge_closed_cubes
 
         serving = self.serving
         relation = serving.relation
@@ -242,57 +243,43 @@ class CubeMaintainer:
         plan = plan_algorithm(
             delta_relation, min_sup=1, closed=True, with_measures=bool(measures)
         )
+        report: Optional[MergeReport] = None
+        payload_mode: Optional[str] = None
         if (
-            self.copy_on_publish
-            and self.executor is not None
+            self.executor is not None
             and picklable_order(config.dimension_order)
             and len(serving.cube) <= REMOTE_MERGE_MAX_CELLS
         ):
-            prepared = self._remote_merge(
-                relation, start_tid, plan.algorithm, started
+            remote = self._remote_merge(relation, start_tid, plan.algorithm)
+            if remote is not None:
+                report, delta_algorithm, payload_mode = remote
+        if report is None:
+            delta_cube, delta_algorithm = self._compute_delta(
+                relation, delta_relation, start_tid, plan.algorithm, measures
             )
-            if prepared is not None:
-                return prepared
-        delta_cube, delta_algorithm = self._compute_delta(
-            relation, delta_relation, start_tid, plan.algorithm, measures
-        )
-        if self.copy_on_publish:
-            # Merge into a private clone; queries keep reading the published
-            # version until the atomic swap below.  Closedness makes the
-            # clone cheap: it is proportional to the closed cube.
-            new_cube = serving.cube.clone()
-            report = new_cube.merge(
+            # Evaluation only reads the served store, so queries keep
+            # answering from it; the slots land in the publish below.
+            report = merge_closed_cubes(
+                serving.cube,
                 delta_cube,
                 relation,
                 measures=measures,
-                batch_size=self.merge_batch_size,
-                yield_between_batches=self.merge_yield,
+                batch_size=MERGE_BATCH_SIZE,
+                yield_between_batches=_yield_gil,
+                apply=False,
             )
-            new_index = new_cube.closure_index()
-            invalidated = serving.engine.publish(
-                new_cube,
-                new_index,
-                changed=report.changed_cells(),
-                extra_caches=[serving._decoded],
-                rollups=self._merged_rollups(relation),
-            )
-            serving.cube = new_cube
-        else:
-            report = serving.cube.merge(delta_cube, relation, measures=measures)
-            # The engine shares the cube's live closure index, so the index
-            # is already current; only derived caches need repair — the
-            # engine's point and slice caches plus the decoded layer.
-            changed = report.changed_cells()
-            invalidated = serving.engine.invalidate(changed)
-            invalidated += invalidate_answers(
-                serving._decoded, relation.num_dimensions, changed
-            )
-            new_tables = self._merged_rollups(relation)
-            if new_tables is not None:
-                # In-place mode is single-threaded by contract, so a direct
-                # swap (no publish section) is sufficient here.
-                serving.engine.router.tables = new_tables
-            serving.engine.version += 1
+        engine = serving.engine
+        # Rollup tables are maintained in process even when the cube merge
+        # ran remotely: their delta aggregation is one kernel pass over the
+        # append window, far below the cube merge the offload exists for.
+        invalidated = engine.publish(
+            report.slots,
+            extra_caches=[serving._decoded],
+            rollups=self._merged_rollups(relation),
+        )
+        publish_seconds = engine.publish_seconds
+        if engine.index.superseded > len(engine.index):
+            self._compact_store()
         return AppendReport(
             appended_rows=relation.num_tuples - start_tid,
             mode="delta-merge",
@@ -300,6 +287,39 @@ class CubeMaintainer:
             elapsed_seconds=time.perf_counter() - started,
             invalidated_answers=invalidated,
             merge=report,
+            merge_cache=payload_mode,
+            publish_seconds=publish_seconds,
+        )
+
+    def _compact_store(self) -> None:
+        """Rebuild the served store without its superseded statistics.
+
+        Fires when superseded records outnumber live cells, so the O(cube)
+        clone and re-index below are paid at most once per "cube's worth" of
+        grown cells — amortised O(delta) per append — and the store never
+        holds more than about twice the live cube.  Runs off the hot path
+        (readers only wait for the reference swap) and leaves views pinned
+        on the old store answering from it.
+        """
+        serving = self.serving
+        engine = serving.engine
+        started = time.perf_counter()
+        slots_before = len(engine.index) + engine.index.superseded
+        fresh = serving.cube.clone()
+        engine.swap_store(fresh)
+        serving.cube = fresh
+        serving.store_compactions += 1
+        logger.info(
+            "store compaction: %d stats records -> %d live cells in %.4fs",
+            slots_before,
+            len(fresh),
+            time.perf_counter() - started,
+            extra={
+                "event": "store_compaction",
+                "slots_before": slots_before,
+                "live_cells": len(fresh),
+                "compactions": serving.store_compactions,
+            },
         )
 
     def _remote_merge(
@@ -307,18 +327,16 @@ class CubeMaintainer:
         relation,
         start_tid: int,
         algorithm: str,
-        started: float,
-    ) -> Optional[AppendReport]:
-        """Prepare the whole merge in the executor, publish a clone here.
+    ) -> Optional[Tuple[MergeReport, str, str]]:
+        """Evaluate the whole merge in the executor.
 
         The worker computes the delta cube *and* runs closedness repair — the
-        two CPU-heavy phases — so the serving process only replays the
-        returned changed cells onto a clone and swaps it in (tens of
-        milliseconds that do not contend with query threads for long).
-        Returns ``None`` on executor infrastructure failure (broken pool,
-        pickling), sending the caller down the in-process paths; exactness
-        errors raised by the merge itself propagate so the usual
-        full-recompute fallback fires.
+        two CPU-heavy phases — against its own copy of the base cube, and
+        sends back the merge report whose slots the caller publishes.
+        Returns ``(report, delta algorithm, payload mode)``, or ``None`` on
+        executor infrastructure failure (broken pool, pickling), sending the
+        caller down the in-process path; exactness errors raised by the merge
+        itself propagate so the usual full-recompute fallback fires.
 
         Worker-resident merge state: the base cube's cell list only crosses
         the process boundary cold.  Each task asks the worker to retain the
@@ -378,30 +396,7 @@ class CubeMaintainer:
             except Exception:
                 return None
         serving._merge_state_hint = store_key
-        new_cube = serving.cube.clone()
-        for cell, count, cell_measures, rep_tid in outcome.changed:
-            new_cube.upsert(cell, count, cell_measures, rep_tid)
-        new_index = new_cube.closure_index()
-        # Rollup tables are maintained in process even when the cube merge
-        # ran remotely: their delta aggregation is one kernel pass over the
-        # append window, far below the cube merge the offload exists for.
-        invalidated = serving.engine.publish(
-            new_cube,
-            new_index,
-            changed=outcome.report.changed_cells(),
-            extra_caches=[serving._decoded],
-            rollups=self._merged_rollups(relation),
-        )
-        serving.cube = new_cube
-        return AppendReport(
-            appended_rows=relation.num_tuples - start_tid,
-            mode="delta-merge",
-            algorithm=outcome.algorithm,
-            elapsed_seconds=time.perf_counter() - started,
-            invalidated_answers=invalidated,
-            merge=outcome.report,
-            merge_cache=payload_mode,
-        )
+        return outcome.report, outcome.algorithm, payload_mode
 
     def _compute_delta(
         self,
@@ -463,30 +458,15 @@ class CubeMaintainer:
             relation, serving.cube, partition_dim, start_tid, executor=executor
         )
         changed_values = sorted(part_report.refreshed_partitions or ())
-        # Count both caches up front so the report's "encoded + decoded"
-        # contract holds whichever publish path clears them.
+        # refresh() clears the caches; count them first so the report's
+        # "encoded + decoded" contract holds.
         invalidated = (len(serving.engine.cache) + len(serving.engine.slice_cache)
                        + len(serving._decoded))
-        if self.copy_on_publish:
-            # A whole replacement engine (shards and indexes built here, off
-            # the hot path) published by reference swap; readers finish on
-            # the old engine or start on the new one, never in between.
-            new_engine = PartitionedQueryEngine(
-                cube,
-                partition_dim=partition_dim,
-                cache_size=config.cache_size,
-            )
-            new_engine.version = serving.engine.version + 1
-            serving.cube = cube
-            serving.partition_report = part_report
-            serving.engine = new_engine
-            serving._decoded.clear()
-        else:
-            serving.cube = cube
-            serving.partition_report = part_report
-            serving.engine.refresh(
-                cube, changed_values, extra_caches=[serving._decoded]
-            )
+        serving.cube = cube
+        serving.partition_report = part_report
+        # Replacement shards are grouped and indexed off the hot path and
+        # swapped in under the engine's write lock.
+        serving.engine.refresh(cube, changed_values, extra_caches=[serving._decoded])
         return AppendReport(
             appended_rows=relation.num_tuples - start_tid,
             mode="partition-refresh",

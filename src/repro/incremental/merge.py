@@ -70,6 +70,10 @@ class MergeReport:
     delta_cells: int = 0
     #: Base cube size before the merge.
     base_cells_before: int = 0
+    #: The new statistics of every added or updated cell, in apply order —
+    #: what :meth:`repro.core.cube.CubeResult.apply` (or, for a served cube,
+    #: :meth:`repro.query.engine.QueryEngine.publish`) appends to the store.
+    slots: List[Tuple[Cell, CellStats]] = field(default_factory=list)
 
     def changed_cells(self) -> List[Cell]:
         """Every cell whose aggregate an existing cached answer may reflect."""
@@ -147,23 +151,32 @@ def merge_closed_cubes(
     delta_tid_offset: int = 0,
     batch_size: Optional[int] = None,
     yield_between_batches: Optional[Callable[[], None]] = None,
+    apply: bool = True,
 ) -> MergeReport:
     """Fold ``delta`` into ``base`` in place; see the module docstring.
 
     ``relation`` is the combined fact table (base tuples first); every
     representative tuple id of ``base``, and of ``delta`` after adding
     ``delta_tid_offset``, must index into it.  Returns a :class:`MergeReport`
-    whose :meth:`~MergeReport.changed_cells` drive index and cache
-    maintenance upstream.
+    whose :attr:`~MergeReport.slots` are what the merge writes and whose
+    :meth:`~MergeReport.changed_cells` drive cache maintenance upstream.
 
-    ``batch_size`` bounds how many candidates (and, in the apply phase, how
-    many upserts) are processed between calls to ``yield_between_batches``;
-    the callback is the seam the serving layer uses to hand the GIL back to
-    the event loop mid-merge (see :class:`repro.incremental.maintainer.
-    CubeMaintainer`).  Batching never changes the result: candidates are
-    evaluated in one deterministic sorted order regardless of batch
-    boundaries or backend, and the pre-merge closure indexes answer every
-    batch because nothing mutates until the apply phase.
+    The merge has two phases.  *Evaluation* — candidates, closure probes,
+    closedness repair — only reads ``base`` and produces the slots.  *Apply*
+    hands them to :meth:`~repro.core.cube.CubeResult.apply`, O(changed
+    cells).  ``apply=False`` stops after evaluation: the maintainer of a
+    served cube evaluates against the live store while queries keep reading
+    it, and lands the slots inside :meth:`repro.query.engine.QueryEngine.
+    publish`, under the engine's write lock.
+
+    ``batch_size`` bounds how many candidates are evaluated between calls to
+    ``yield_between_batches``; the callback is the seam the serving layer
+    uses to hand the GIL back to the event loop mid-merge (see
+    :class:`repro.incremental.maintainer.CubeMaintainer`).  Batching never
+    changes the result: candidates are evaluated in one deterministic sorted
+    order regardless of batch boundaries or backend, and the pre-merge
+    closure indexes answer every batch because nothing is written until the
+    apply phase.
     """
     if base.num_dims != delta.num_dims:
         raise IncrementalError(
@@ -281,25 +294,19 @@ def merge_closed_cubes(
         if yield_between_batches is not None and start + batch_size < len(ordered):
             yield_between_batches()
 
-    # Apply phase: upsert the produced cells, keeping the live closure index
-    # current through CubeResult's maintenance hooks.  Chunked under the same
-    # budget — upserts mutate the cube and its index, but each one is
-    # individually atomic and the pre-computed ``produced`` payloads don't
-    # depend on them.
-    items = list(produced.items())
-    for start in range(0, len(items), batch_size):
-        if yield_between_batches is not None and start:
-            yield_between_batches()
-        for cell, (count, values, rep) in items[start : start + batch_size]:
-            existing = base.get(cell)
-            if existing is None:
-                base.add(cell, count, values, rep)
-                report.added.append(cell)
-            elif (
-                existing.count != count
-                or existing.rep_tid != rep
-                or existing.measures != values
-            ):
-                base.upsert(cell, count, values, rep)
-                report.updated.append(cell)
+    for cell, (count, values, rep) in produced.items():
+        existing = base.get(cell)
+        if existing is None:
+            report.added.append(cell)
+        elif (
+            existing.count != count
+            or existing.rep_tid != rep
+            or existing.measures != values
+        ):
+            report.updated.append(cell)
+        else:
+            continue
+        report.slots.append((cell, CellStats(count, values, rep)))
+    if apply:
+        base.apply(report.slots)
     return report

@@ -254,7 +254,7 @@ class MergeTask:
     computes the delta cube over the ``start_tid..`` window *and* merges it
     (aggregation-based closedness repair included) into a private copy of the
     base — the two CPU-heavy phases of an append.  Only the *changed* cells
-    travel back; the serving thread replays them onto a clone and publishes.
+    travel back (the merge report's slots); the serving thread publishes them.
 
     ``base_cells`` may be ``None`` when ``cache_key`` names a base cube a
     worker already holds resident (stored under ``store_key`` by a previous
@@ -279,9 +279,9 @@ class MergeTask:
 
 @dataclass(frozen=True)
 class MergeTaskResult:
-    """The prepared merge: new statistics for every added/updated cell."""
+    """The prepared merge: its report, whose ``slots`` carry the new
+    statistics of every added/updated cell."""
 
-    changed: List[CellRecord]
     report: object  # a MergeReport; typed loosely to keep pickling simple
     algorithm: str
 
@@ -321,10 +321,6 @@ def run_merge_task(task: MergeTask) -> MergeTaskResult:
     report = base.merge(
         delta_result.cube, task.relation, measures=MeasureSet(task.measures)
     )
-    changed: List[CellRecord] = []
-    for cell in report.changed_cells():
-        stats = base[cell]
-        changed.append((cell, stats.count, dict(stats.measures), stats.rep_tid))
     if task.store_key is not None:
         worker_cache_store(
             task.store_key,
@@ -333,9 +329,7 @@ def run_merge_task(task: MergeTask) -> MergeTaskResult:
                 for cell, stats in base.items()
             ],
         )
-    return MergeTaskResult(
-        changed=changed, report=report, algorithm=delta_result.algorithm
-    )
+    return MergeTaskResult(report=report, algorithm=delta_result.algorithm)
 
 
 def create_refresh_pool(max_workers: Optional[int] = None) -> ProcessPoolExecutor:

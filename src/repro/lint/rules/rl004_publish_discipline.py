@@ -1,26 +1,30 @@
-"""RL004 — publish discipline: published cubes are swapped, never mutated.
+"""RL004 — publish discipline: a served store is written in one place only.
 
-The concurrent serving contract (PR 4) is copy-on-publish: readers answer
-against the *published* ``CubeResult`` while maintenance merges into a
-private ``clone()`` and lands the result with one atomic reference swap.  A
-mutating call on the published object itself — ``serving.cube.merge(...)``,
-``self.cube.upsert(...)`` — races every in-flight query with a half-applied
-merge.  Only :mod:`repro.incremental.maintainer` (the one module that owns
-the publish sequence, including the deliberately single-threaded in-place
-mode) may mutate a cube it did not just create.
+The concurrent serving contract: readers answer against the *published*
+``CubeResult`` under the engine's read lock, and the one write that may land
+on it is the O(delta) apply inside ``QueryEngine.publish``, under the write
+lock.  Maintenance *evaluates* a merge against the served cube without
+writing (``merge_closed_cubes(serving.cube, ..., apply=False)``) and hands
+the resulting slots to ``publish``.  Any other mutating call on the published
+object — ``serving.cube.merge(...)``, ``self.cube.apply(...)``, a
+``merge_closed_cubes(serving.cube, ...)`` that applies — races every
+in-flight query with a half-applied merge.  Only :mod:`repro.query.engine`
+(the module that owns ``publish``) may write a cube it did not just create.
 
-Flagged: calls to a ``CubeResult`` mutator (``merge``/``upsert``/``remove``/
-``add``/``shift_rep_tids``) whose receiver is a ``.cube`` attribute chain
-rooted in ``self``/a parameter/module state — i.e. an object that existed
-before the function ran and may be published.  The same discipline covers
-the adaptive rollup layer (``src/repro/rollup/``): an installed
-``RollupTable`` is read by concurrent queries exactly like the cube, so
-``.rollup``/``.rollups`` receiver chains are held to the same contract —
-maintenance derives a fresh table (``merged_delta``) and swaps it in the
-engine's publish section.  Exempt: receivers that are locally *created* in
-the same function (assigned from any call — ``clone()``, ``run()``, a
-constructor), because a value born in the function cannot be published yet;
-the swap that publishes it is an assignment, which this rule never flags.
+Flagged: calls to a ``CubeResult`` mutator (``merge``/``apply``/``add``/
+``shift_rep_tids``) whose receiver is a ``.cube`` attribute chain rooted in
+``self``/a parameter/module state — i.e. an object that existed before the
+function ran and may be published — and ``merge_closed_cubes(...)`` calls
+whose first argument is such a chain, unless they pass ``apply=False``.  The
+same discipline covers the adaptive rollup layer (``src/repro/rollup/``): an
+installed ``RollupTable`` is read by concurrent queries exactly like the
+cube, so ``.rollup``/``.rollups`` receiver chains are held to the same
+contract — maintenance derives a fresh table (``merged_delta``) and swaps it
+in the engine's publish section.  Exempt: receivers that are locally
+*created* in the same function (assigned from any call — ``clone()``,
+``run()``, a constructor), because a value born in the function cannot be
+published yet; the swap that publishes it is an assignment, which this rule
+never flags.
 """
 
 from __future__ import annotations
@@ -38,11 +42,13 @@ CODE = "RL004"
 NAME = "publish-discipline"
 
 #: CubeResult's mutating methods.
-MUTATORS = {"merge", "upsert", "remove", "add", "shift_rep_tids"}
+MUTATORS = {"merge", "apply", "add", "shift_rep_tids"}
 
-#: The one module allowed to mutate a pre-existing cube (it owns the
-#: publish sequence and the documented single-threaded in-place mode).
-EXEMPT_SUFFIXES = ("incremental/maintainer.py",)
+#: The merge function: writes its first argument unless told ``apply=False``.
+MERGE_FUNCTION = "merge_closed_cubes"
+
+#: The one module allowed to write a pre-existing cube: it owns ``publish``.
+EXEMPT_SUFFIXES = ("query/engine.py",)
 
 #: Attribute-chain tails that name a publishable aggregate: the served cube
 #: and the installed rollup tables (read concurrently under the same lock).
@@ -96,6 +102,33 @@ def _published_receiver(
     return None
 
 
+def _evaluates_only(call: ast.Call) -> bool:
+    """Whether a merge call passes a literal ``apply=False``."""
+    return any(
+        keyword.arg == "apply"
+        and isinstance(keyword.value, ast.Constant)
+        and keyword.value.value is False
+        for keyword in call.keywords
+    )
+
+
+def _written_receiver(
+    call: ast.Call, bindings: Dict[str, Optional[str]]
+) -> Optional[str]:
+    """``"<chain>.<mutator>"`` when ``call`` may write a published aggregate."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == MERGE_FUNCTION:
+        if not call.args or _evaluates_only(call):
+            return None
+        resolved = _published_receiver(call.args[0], bindings)
+        return None if resolved is None else f"{MERGE_FUNCTION}({resolved}, ...)"
+    if isinstance(func, ast.Attribute) and name in MUTATORS:
+        resolved = _published_receiver(func.value, bindings)
+        return None if resolved is None else f"{resolved}.{name}()"
+    return None
+
+
 def check(module: "ParsedModule") -> List[Finding]:
     display = module.display.replace("\\", "/")
     if any(display.endswith(suffix) for suffix in EXEMPT_SUFFIXES):
@@ -105,16 +138,11 @@ def check(module: "ParsedModule") -> List[Finding]:
     for function, _is_async in iter_functions(module.tree):
         bindings = _local_bindings(function)
         for node in ast.walk(function):
-            if (
-                not isinstance(node, ast.Call)
-                or id(node) in seen
-                or not isinstance(node.func, ast.Attribute)
-                or node.func.attr not in MUTATORS
-            ):
+            if not isinstance(node, ast.Call) or id(node) in seen:
                 continue
             seen.add(id(node))  # nested defs are walked again by iter_functions
-            resolved = _published_receiver(node.func.value, bindings)
-            if resolved is None:
+            written = _written_receiver(node, bindings)
+            if written is None:
                 continue
             findings.append(
                 Finding(
@@ -123,11 +151,12 @@ def check(module: "ParsedModule") -> List[Finding]:
                     line=node.lineno,
                     col=node.col_offset,
                     message=(
-                        f"{resolved}.{node.func.attr}() mutates a cube that "
-                        "may be published to concurrent readers; merge into "
-                        "a clone() and publish it with an atomic swap (see "
-                        "repro.incremental.maintainer), or route the change "
-                        "through the maintainer"
+                        f"{written} writes a cube that may be published to "
+                        "concurrent readers; evaluate the merge with "
+                        "apply=False and hand its slots to "
+                        "QueryEngine.publish (see "
+                        "repro.incremental.maintainer), the one place a "
+                        "served store is written"
                     ),
                 )
             )

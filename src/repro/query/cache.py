@@ -17,7 +17,7 @@ price of one closure lookup.
 A :attr:`LRUCache.generation` counter increments on every ``clear`` and on
 every targeted ``discard``; publish paths use it to detect that a cache was
 invalidated between reading an entry and writing a derived one (the
-copy-on-publish serving layer keys its stale-write checks on it).
+serving layer keys its stale-write checks on it).
 
 A capacity of ``0`` disables caching entirely (every ``get`` misses, ``put``
 is a no-op), which the throughput benchmark uses to isolate raw index speed.
@@ -109,7 +109,7 @@ class LRUCache(Generic[V]):
     def put_if_generation(self, key: Hashable, value: V, generation: int) -> bool:
         """Insert ``key`` only if no invalidation happened since ``generation``.
 
-        The copy-on-publish protocol: a reader snapshots :attr:`generation`
+        The publish protocol: a reader snapshots :attr:`generation`
         before resolving an answer against the published cube version and
         writes the derived entry back through this method.  If a publish
         invalidated the cache in between (bumping the generation), the write

@@ -20,27 +20,28 @@ each query to the shard(s) that can contain its closure, mirroring how the
 partitioned *computation* split the data.
 
 Engines track the cube they front: the :class:`QueryEngine` shares the cube's
-live closure index (kept current in place by incremental merges) and exposes
-:meth:`QueryEngine.invalidate` for the targeted answer-cache invalidation the
-maintenance path needs; :class:`PartitionedQueryEngine.refresh` swaps in only
-the shards a refresh touched.
+live closure index — together the cube's versioned append-only store — and
+:meth:`QueryEngine.publish` is the one place a served store is written;
+:class:`PartitionedQueryEngine.refresh` swaps in only the shards a refresh
+touched.
 
 Both engines are safe under concurrent readers and a single publisher: every
 query runs under the shared side of an :class:`~repro.concurrency.RWLock`
 (:attr:`QueryEngine.lock`), and the maintenance entry points
-(:meth:`QueryEngine.publish`, :meth:`QueryEngine.invalidate`,
+(:meth:`QueryEngine.publish`, :meth:`QueryEngine.swap_store`,
 :meth:`PartitionedQueryEngine.refresh`) take the exclusive side for a short
-critical section of reference swaps and cache repair.  The expensive work —
-cloning the cube, merging the delta, building the next index — happens
-*before* the exclusive section on a private copy (copy-on-publish), so the
-read hot path never waits on a merge; in-flight queries always see one
-consistent published cube version.  :attr:`QueryEngine.version` counts
-publishes, giving callers (and the interleaving tests) an exact version to
-attribute each answer to.
+critical section.  The expensive work of an append — cubing the delta,
+evaluating the merge and its closedness repair — happens *before* the
+exclusive section and only reads the store; the section itself appends the
+prepared slots and repairs the caches, O(changed cells), so the read hot path
+never waits on a merge and in-flight queries always see one consistent
+version.  :attr:`QueryEngine.version` counts publishes, giving callers (and
+the interleaving tests) an exact version to attribute each answer to.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..concurrency import RWLock
@@ -50,7 +51,7 @@ from ..core.errors import QueryError
 from ..core.relation import Relation
 from ..vector import kernels
 from .cache import LRUCache
-from .index import CubeIndex
+from .index import CubeIndex, PinnedIndex
 from .queries import PointQuery, Query, QueryAnswer, RollupQuery, SliceQuery
 
 #: What ``execute`` returns: one answer for point/roll-up, a list for a slice.
@@ -107,7 +108,7 @@ class QueryEngine:
         self,
         cube: CubeResult,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        index: Optional[CubeIndex] = None,
+        index: Optional[Union[CubeIndex, PinnedIndex]] = None,
     ) -> None:
         self.cube = cube
         self.index = index if index is not None else cube.closure_index()
@@ -122,13 +123,15 @@ class QueryEngine:
         #: fixed cell suffices.
         self.slice_cache: LRUCache[List[QueryAnswer]] = LRUCache(cache_size)
         #: Readers (queries) share this lock; :meth:`publish` /
-        #: :meth:`invalidate` take it exclusively for their short critical
+        #: :meth:`swap_store` take it exclusively for their short critical
         #: sections.  Queries resolve *and* cache their answer inside one
         #: read-held region, so a publish can never interleave between a
         #: stale resolution and its cache write.
         self.lock = RWLock()
         #: Number of publishes this engine has served (see :meth:`publish`).
         self.version = 0
+        #: Seconds the latest :meth:`publish` held the write lock.
+        self.publish_seconds = 0.0
         #: Best-effort query counters: bumped without extra locking, so a
         #: heavily concurrent workload may undercount slightly.
         self.counters: Dict[str, int] = {
@@ -295,20 +298,6 @@ class QueryEngine:
     # Maintenance                                                         #
     # ------------------------------------------------------------------ #
 
-    def invalidate(self, changed: Sequence[Cell]) -> int:
-        """Targeted cache invalidation after an in-place incremental merge.
-
-        The engine's index is the cube's live closure index, so it is already
-        current when this is called; only cached answers derived from cells
-        that changed need to go.  Returns the number of answers dropped.
-        """
-        with self.lock.write():
-            dropped = invalidate_answers(self.cache, self.num_dims, changed)
-            dropped += invalidate_answers(
-                self.slice_cache, self.num_dims, changed, key_cell=_slice_key_cell
-            )
-            return dropped
-
     def clear_caches(self) -> None:
         """Drop every cached answer and slice; counters survive."""
         self.cache.clear()
@@ -316,63 +305,67 @@ class QueryEngine:
 
     def publish(
         self,
-        cube: CubeResult,
-        index: Optional[CubeIndex] = None,
-        changed: Optional[Sequence[Cell]] = None,
+        slots: Sequence[Tuple[Cell, CellStats]],
         extra_caches: Sequence[LRUCache] = (),
         rollups: Optional[Dict[Tuple[int, ...], object]] = None,
     ) -> int:
-        """Swap in the next cube version atomically (copy-on-publish).
+        """Apply one prepared merge to the store and make it visible.
 
-        The concurrent maintenance path prepares ``cube`` (a merged clone of
-        the serving cube) and ``index`` *off* the hot path, then calls this to
-        make them visible: under the write lock the engine's cube and index
-        references are swapped, cached answers the ``changed`` cells can
-        affect are discarded (all of them when ``changed`` is ``None``) from
-        the engine's cache and any ``extra_caches`` (e.g. the named layer's
-        decoded-answer cache), and :attr:`version` is incremented.  Readers
-        either complete entirely before the swap (seeing the previous
-        version) or start after it (seeing the new one) — never a mixture.
+        ``slots`` is what the maintenance path evaluated off the hot path
+        (:func:`repro.incremental.merge.merge_closed_cubes` with
+        ``apply=False``): the new statistics of every cell the append added
+        or grew.  Under the write lock they are written to the store
+        (:meth:`repro.core.cube.CubeResult.apply` — a slot, its postings and
+        a columnar-view row per *new* cell, one re-pointed slot per grown
+        one; nothing cloned, nothing re-indexed), cached answers those cells
+        can affect are discarded from
+        the engine's caches and any ``extra_caches`` (e.g. the named layer's
+        decoded-answer cache), and :attr:`version` is incremented — all
+        O(changed cells).  Readers either complete entirely before the
+        section (seeing the previous version) or start after it (seeing the
+        new one) — never a mixture.  This is the only place a served store
+        is written (``repro.lint`` rule RL004).
 
-        When ``index`` is omitted it is taken from ``cube.closure_index()``;
-        note that *building* that index then happens inside the exclusive
-        section, so callers on the concurrent path should pass a pre-built
-        index.  ``rollups``, when given, is the next generation of rollup
-        tables (grain -> :class:`~repro.rollup.table.RollupTable`, prepared
-        off the hot path from the same delta) and is swapped into the router
-        inside the same exclusive section, so a reader can never pair the
-        new cube with pre-append rollup answers.  Returns the number of
-        cached answers dropped.
+        ``rollups``, when given, is the next generation of rollup tables
+        (grain -> :class:`~repro.rollup.table.RollupTable`, prepared off the
+        hot path from the same delta) and is swapped into the router inside
+        the same exclusive section, so a reader can never pair the new cube
+        with pre-append rollup answers.  Returns the number of cached answers
+        dropped.
         """
-        if index is None:
-            index = cube.closure_index()
         caches: List[LRUCache] = [self.cache, *extra_caches]
+        changed = [cell for cell, _stats in slots]
+        with self.lock.write():
+            started = time.perf_counter()
+            self.cube.apply(slots)
+            if rollups is not None and self.router is not None:
+                self.router.tables = rollups
+            dropped = invalidate_answers(caches, self.num_dims, changed)
+            dropped += invalidate_answers(
+                self.slice_cache, self.num_dims, changed, key_cell=_slice_key_cell
+            )
+            for cache in caches:
+                # Even a zero-drop publish must fence out readers holding
+                # answers resolved against the superseded version (see
+                # LRUCache.put_if_generation).
+                cache.bump_generation()
+            self.version += 1
+            self.publish_seconds = time.perf_counter() - started
+            return dropped
+
+    def swap_store(self, cube: CubeResult) -> None:
+        """Swap in a compacted copy of the store (same cells, no new version).
+
+        ``cube`` must hold exactly the live cells of the current one (a
+        :meth:`~repro.core.cube.CubeResult.clone`) with its closure index
+        already built, both done off the hot path.  Every cached answer stays
+        valid — the contents did not change, only the slot numbering — and
+        views pinned on the old store keep it alive and keep answering.
+        """
+        index = cube.closure_index()
         with self.lock.write():
             self.cube = cube
             self.index = index
-            if rollups is not None and self.router is not None:
-                self.router.tables = rollups
-            if changed is None:
-                dropped = sum(len(cache) for cache in caches)
-                dropped += len(self.slice_cache)
-                for cache in caches:
-                    cache.clear()
-                self.slice_cache.clear()
-            else:
-                dropped = invalidate_answers(caches, self.num_dims, changed)
-                dropped += invalidate_answers(
-                    self.slice_cache,
-                    self.num_dims,
-                    changed,
-                    key_cell=_slice_key_cell,
-                )
-                for cache in caches:
-                    # Even a zero-drop publish must fence out readers holding
-                    # answers resolved against the superseded version (see
-                    # LRUCache.put_if_generation).
-                    cache.bump_generation()
-            self.version += 1
-            return dropped
 
     # ------------------------------------------------------------------ #
     # Generic execution                                                   #
@@ -497,8 +490,7 @@ class PartitionedQueryEngine:
         were rebuilt.
 
         The replacement shards are grouped and indexed *before* the write
-        lock is taken, so in-flight queries only wait for the reference swaps
-        (copy-on-publish, same discipline as :meth:`QueryEngine.publish`).
+        lock is taken, so in-flight queries only wait for the reference swaps.
         """
         affected: Set[Optional[int]] = set(changed_values)
         affected.add(None)

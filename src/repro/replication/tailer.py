@@ -10,8 +10,8 @@ to the replication log — the chain on disk IS the log).  Per tailed cube a
 * a :class:`~repro.storage.chain.ChainPosition` **cursor** — which chain
   identity the replica has folded and how many journal bytes past it,
 * a published :class:`~repro.session.serving.CubeView` — the pinned,
-  cache-free read surface follower servers answer from, republished
-  copy-on-publish after every applied batch,
+  cache-free read surface follower servers answer from, re-pinned after
+  every applied batch,
 * a cached **lag** pair (un-applied journal bytes + leader-epoch delta) so
   server ``stats()`` never touches disk.
 
@@ -28,8 +28,8 @@ Each :meth:`CubeFollower.poll` reconciles against the manifest:
    identity and reset the cursor to the entry's journal offset.  No data
    moves.
 3. otherwise replay the journal tail from the cursor (tolerating one torn
-   tail line by not advancing past it) and apply each batch with
-   ``copy_on_publish=True`` so in-flight reads keep their pinned view.
+   tail line by not advancing past it) and apply each batch; in-flight
+   reads keep their pinned view (appends never mutate what a view pins).
 
 Cursors persist (``<name>.cursor.json`` under ``state_dir``, written through
 the :mod:`repro.storage.atomic` funnel), so a tailer restarted over a
@@ -257,7 +257,7 @@ class CubeFollower:
             return True
         for batch in batches:
             rows = self._as_rows(batch)
-            self.replica.append(rows, copy_on_publish=True)
+            self.replica.append(rows)
             self.counters["batches_applied"] += 1
             self.counters["rows_applied"] += len(rows)
         if batches or changed:

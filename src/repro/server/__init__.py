@@ -1,7 +1,7 @@
 """Concurrent serving: the asyncio front end over a cube catalog.
 
 * :class:`AsyncCubeServer` (:mod:`repro.server.server`) — batched queries,
-  back-pressure, copy-on-publish appends that never block the read hot path.
+  back-pressure, O(delta)-publish appends that never block the read hot path.
   Runs as a ``"leader"`` (the default) or, wired to a
   :class:`~repro.replication.ReplicationTailer`, as a read-only
   ``"follower"`` that answers from pinned replica views and reports

@@ -12,8 +12,8 @@ never waits on maintenance:
   query thread pool, so a bursty client costs one executor hop per batch,
   not per query;
 * **appends** serialise per cube (an :class:`asyncio.Lock` each) and run on
-  the maintenance thread pool in copy-on-publish mode: the merge happens on
-  a private clone and lands with one atomic publish, so queries interleave
+  the maintenance thread pool: the merge is evaluated against the live
+  store and lands with one short O(delta) publish, so queries interleave
   with the append and only ever see a fully published cube version;
 * **cubing compute** (the delta cube, partition recomputes) optionally runs
   in a process pool (``refresh_processes``), taking an append's CPU burn out
@@ -427,11 +427,11 @@ class AsyncCubeServer:
     async def append(self, cube: str, rows: Sequence[object]) -> AppendReport:
         """Append rows to ``cube`` without stalling anyone's queries.
 
-        Per-cube appends serialise (submission order); the merge runs
-        copy-on-publish on the maintenance pool — and its cubing compute in
-        the refresh process pool when one is configured — so concurrent
-        queries, including queries on this very cube, keep answering against
-        the published version until the atomic swap.
+        Per-cube appends serialise (submission order); the merge runs on
+        the maintenance pool — and its cubing compute in the refresh process
+        pool when one is configured — so concurrent queries, including
+        queries on this very cube, keep answering against the published
+        version until the short publish section.
 
         With ``request_timeout`` set, one deadline brackets the whole
         append — the wait for the cube's append lock *and* the merge — so
@@ -470,7 +470,6 @@ class AsyncCubeServer:
                     self.catalog.append,
                     cube,
                     rows,
-                    copy_on_publish=True,
                     executor=self._refresh_executor,
                 ),
             )
@@ -676,6 +675,7 @@ class AsyncCubeServer:
             if loaded is not None:
                 entry["version"] = loaded.version
                 entry["merge_cache"] = dict(loaded.merge_cache_stats)
+                entry["store"] = loaded.store_stats()
                 rollups = loaded.rollup_stats()
                 # A summary, not the full per-grain table map: stats() runs
                 # on the event loop and feeds dashboards, not debuggers.

@@ -72,6 +72,7 @@ def serialize_report(report: AppendReport) -> Dict[str, object]:
         "algorithm": report.algorithm,
         "elapsed_seconds": report.elapsed_seconds,
         "invalidated_answers": report.invalidated_answers,
+        "publish_seconds": report.publish_seconds,
     }
 
 

@@ -27,13 +27,12 @@ two cache hits — the overhead benchmarks/bench_api_overhead.py keeps honest.
 Concurrency: queries may run from any number of threads at once.  Each query
 resolves against one *published* cube version (the engine's read/write lock
 plus the decoded cache's generation counter guarantee no torn or stale
-state), and maintenance is serialised by an internal lock.  ``append(...,
-copy_on_publish=True)`` — what :meth:`ServingCube.append_async` and the
-concurrent server (:mod:`repro.server`) use — merges into a private clone and
-publishes by reference swap, so the read hot path never waits on a merge;
-the default in-place append remains the fastest option for single-threaded
-use.  :meth:`ServingCube.read_snapshot` pins one published version for
-repeated reads; :attr:`ServingCube.version` counts publishes.
+state), and maintenance is serialised by an internal lock.  Every
+:meth:`ServingCube.append` evaluates its merge while queries keep reading the
+store and lands the changed cells in one short O(delta) exclusive section
+(:meth:`repro.query.engine.QueryEngine.publish`), so the read hot path never
+waits on a merge.  :meth:`ServingCube.read_snapshot` pins one published
+version for repeated reads; :attr:`ServingCube.version` counts publishes.
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ from ..query.engine import (
     PartitionedQueryEngine,
     QueryEngine,
 )
+from ..query.index import PinnedIndex
 from ..query.queries import QueryAnswer
 from .planner import Plan
 from .schema import CubeSchema
@@ -316,6 +316,9 @@ class ServingCube:
             "full_sends": 0,
             "misses": 0,
         }
+        #: Compacting rebuilds of the cube's append-only store so far (see
+        #: :meth:`repro.incremental.maintainer.CubeMaintainer._compact_store`).
+        self.store_compactions = 0
         #: Last :meth:`enable_rollups` parameters, reused by re-advises with
         #: no arguments (``None`` until rollups are first enabled).
         self._rollup_params: Optional[Dict[str, int]] = None
@@ -522,20 +525,20 @@ class ServingCube:
         * full closed cubes (``min_sup == 1``) take the incremental path —
           a delta cube over only the appended tuples (algorithm chosen by the
           planner for the delta's shape) is merged in with aggregation-based
-          closedness repair, the live index is updated in place, and exactly
-          the affected cached answers are invalidated;
+          closedness repair: the merge is evaluated against the live store
+          while queries keep reading it, then the changed cells' new
+          statistics are appended to the store and exactly the affected
+          cached answers invalidated in one short exclusive section —
+          O(delta), nothing cloned, nothing re-indexed;
         * partitioned cubes refresh partition by partition, recomputing only
           the partitions the appended tuples touched;
         * iceberg (``min_sup > 1``) and non-closed cubes recompute — they
           have discarded information a delta could resurrect, so incremental
           maintenance cannot be exact.
 
-        ``copy_on_publish`` trades a little merge-side work for lock-free
-        reads: the merge happens on a private clone of the cube and is made
-        visible with one atomic publish, so concurrent queries keep flowing
-        against the previous version instead of racing in-place mutation.
-        This is the mode the concurrent server uses; the default in-place
-        merge is faster when nothing reads concurrently.  ``executor``
+        Every path is safe beside concurrent queries.  ``copy_on_publish`` is
+        accepted for compatibility and no longer selects anything (there is
+        one publish path; see ``docs/MIGRATION.md``).  ``executor``
         optionally offloads the delta / partition cubing to a
         :class:`concurrent.futures` executor — with a process pool
         (:func:`repro.incremental.parallel.create_refresh_pool`) the compute
@@ -549,10 +552,7 @@ class ServingCube:
         if not rows:
             return AppendReport(0, "no-op", self.algorithm, 0.0)
         with self._maintenance_lock:
-            maintainer = CubeMaintainer(
-                self, copy_on_publish=copy_on_publish, executor=executor
-            )
-            return maintainer.append(rows)
+            return CubeMaintainer(self, executor=executor).append(rows)
 
     def append_async(
         self,
@@ -561,14 +561,14 @@ class ServingCube:
     ) -> "Future[AppendReport]":
         """Apply :meth:`append` in the background; queries keep flowing.
 
-        Runs ``append(rows, copy_on_publish=True, executor=executor)`` on a
-        per-cube single worker thread and returns the
-        :class:`concurrent.futures.Future` of its
+        Runs ``append(rows, executor=executor)`` on a per-cube single worker
+        thread and returns the :class:`concurrent.futures.Future` of its
         :class:`~repro.incremental.maintainer.AppendReport`.  Because the
         worker is singular, async appends to one cube apply in submission
-        order; because the merge is copy-on-publish, concurrent queries never
-        block on it — they serve the previous published version until the
-        swap.  This is the synchronous-world sibling of
+        order; because the merge only reads the store until its short
+        publish, concurrent queries never block on it — they serve the
+        previous published version until then.  This is the
+        synchronous-world sibling of
         :meth:`repro.server.AsyncCubeServer.append`.
         """
         if self._append_pool is None:
@@ -578,7 +578,7 @@ class ServingCube:
                         max_workers=1, thread_name_prefix="repro-append"
                     )
         return self._append_pool.submit(
-            partial(self.append, rows, copy_on_publish=True, executor=executor)
+            partial(self.append, rows, executor=executor)
         )
 
     def refresh(self) -> None:
@@ -859,9 +859,9 @@ class ServingCube:
     def version(self) -> int:
         """Number of cube versions published so far (0 for the initial build).
 
-        Incremented by every append / refresh publish; under copy-on-publish
-        maintenance each answer is attributable to exactly one version (the
-        interleaving tests lean on this).
+        Incremented by every append / refresh publish; each answer is
+        attributable to exactly one version (the interleaving tests lean on
+        this).
         """
         return self.engine.version
 
@@ -873,18 +873,21 @@ class ServingCube:
         appends landing afterwards — the "repeatable read" the concurrent
         server offers alongside the always-latest :meth:`point` path.
 
-        The pin is only complete under copy-on-publish maintenance (the mode
-        every concurrent path uses), where superseded versions are never
-        mutated again.  A later *in-place* ``append()`` mutates the shared
-        cells under the view, as documented on :class:`CubeView`.
+        Pinning copies nothing: the cube's store is append-only and keeps the
+        statistics appends supersede, so the view is the live store plus two
+        lengths it had at this moment — its slot count and its supersession
+        log's (:class:`repro.query.index.PinnedIndex`).
         """
         engine = self.engine
         with engine.lock.read():
             version = engine.version
             if isinstance(engine, QueryEngine):
                 frozen: Union[QueryEngine, PartitionedQueryEngine] = QueryEngine(
-                    engine.cube, cache_size=0, index=engine.index
+                    engine.cube, cache_size=0, index=PinnedIndex(engine.index)
                 )
+                # The pin reads the store the live engine appends to, so its
+                # readers queue behind the same publishes.
+                frozen.lock = engine.lock
             else:
                 # Shards are regrouped from the pinned cube: O(cells) per
                 # snapshot, the price of repeatable reads on a sharded cube.
@@ -947,9 +950,30 @@ class ServingCube:
         merge_cache["worker"] = worker_cache_stats()
         stats["merge_cache"] = merge_cache
         stats["rollups"] = self.rollup_stats()
+        stats["store"] = self.store_stats()
         if self.build_seconds is not None:
             stats["build_seconds"] = self.build_seconds
         return stats
+
+    def store_stats(self) -> Dict[str, int]:
+        """Shape of the cube's append-only store.
+
+        The store holds ``slots`` statistics records: one per each of the
+        ``live_cells`` materialised cells plus ``superseded`` ones that later
+        appends outgrew, kept for pinned views until the next of the
+        ``compactions`` rebuilds drops them.  ``limit`` is the published slot
+        count a :meth:`read_snapshot` taken now would pin.  A partitioned
+        cube keeps no superseded records: its refresh swaps whole shards.
+        """
+        engine = self.engine
+        superseded = engine.index.superseded if isinstance(engine, QueryEngine) else 0
+        return {
+            "live_cells": len(self.cube),
+            "slots": len(self.cube) + superseded,
+            "superseded": superseded,
+            "compactions": self.store_compactions,
+            "limit": len(self.cube),
+        }
 
     def cache_info(self) -> Dict[str, Dict[str, object]]:
         """Hit/miss/eviction/invalidation counters of both serving caches.
@@ -990,13 +1014,10 @@ class CubeView:
     """A pinned read view of one published cube version (repeatable reads).
 
     Produced by :meth:`ServingCube.read_snapshot`.  Every query on the view
-    answers against the cube version that was published at snapshot time:
-    under copy-on-publish maintenance superseded versions are immutable, so
-    two identical queries on one view always agree, no matter how many
-    appends publish in between.  (Under the default *in-place* maintenance
-    the view shares live cells with the serving cube and will see them grow —
-    pin before switching a cube to concurrent use, not across in-place
-    appends.)
+    answers against the cube version that was published at snapshot time: the
+    store only ever appends, and what it appended is never mutated, so two
+    identical queries on one view always agree, no matter how many appends
+    publish in between.
 
     Views are deliberately cache-free: they exist for consistency, not
     throughput, and must not write stale answers into the live caches.
@@ -1088,7 +1109,8 @@ class CubeView:
 
     def __len__(self) -> int:
         """Materialised cells at the pinned version."""
-        return len(self._engine.cube)
+        engine = self._engine
+        return len(engine.index if isinstance(engine, QueryEngine) else engine.cube)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CubeView(version={self.version}, cells={len(self)})"

@@ -1,6 +1,6 @@
-"""RL004 bad: aliasing the published cube does not launder the mutation."""
+"""RL004 bad: aliasing the published cube does not launder the write."""
 
 
-def upsert_rows(server, rows):
+def apply_slots(server, slots):
     target = server.serving.cube
-    target.upsert(rows)
+    target.apply(slots)

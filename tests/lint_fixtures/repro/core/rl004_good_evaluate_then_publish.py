@@ -1,0 +1,12 @@
+"""RL004 good: evaluate against the served cube, write only inside publish."""
+
+
+class Maintainer:
+    def __init__(self, serving):
+        self.serving = serving
+
+    def refresh(self, merge_closed_cubes, delta, relation):
+        report = merge_closed_cubes(
+            self.serving.cube, delta, relation, apply=False
+        )
+        self.serving.engine.publish(report.slots)

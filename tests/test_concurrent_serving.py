@@ -193,24 +193,23 @@ def test_stats_snapshot_is_consistent_under_hammering():
 
 
 # --------------------------------------------------------------------------- #
-# CubeIndex mutation generation                                                #
+# CubeIndex append / supersede bookkeeping                                     #
 # --------------------------------------------------------------------------- #
 
 
-def test_cube_index_mutations_bump_generation():
+def test_cube_index_appends_and_supersessions_are_counted():
     relation = Relation.from_rows([(0, 0), (0, 1), (1, 0)])
     cube = CubeSession.from_relation(relation).build().cube
     index = CubeIndex.from_cube(cube)
-    built = index.generation
-    assert built >= 1  # the initial build counts as one mutation
+    assert len(index) == len(cube) and index.superseded == 0
     from repro.core.cube import CellStats
 
     index.add_cells([((9, 9), CellStats(1))])
-    assert index.generation == built + 1
-    index.touch_cell((9, 9))
-    assert index.generation == built + 2
-    index.remove_cells([(9, 9)])
-    assert index.generation == built + 3
+    assert (len(index), index.superseded) == (len(cube) + 1, 0)
+    # A second version of the same cell keeps its slot and logs the first.
+    index.add_cells([((9, 9), CellStats(2))])
+    assert (len(index), index.superseded) == (len(cube) + 1, 1)
+    assert index.closure((9, 9))[1].count == 2
 
 
 # --------------------------------------------------------------------------- #

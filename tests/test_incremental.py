@@ -26,6 +26,7 @@ from repro import (
 from repro.algorithms.base import CubingOptions, get_algorithm
 from repro.core.cell import fixed_mask, generalisations, meet_cells
 from repro.core.closedness import closed_cell_state
+from repro.core.cube import CellStats
 from repro.core.errors import IncrementalError
 from repro.core.measures import MeasureSet
 from repro.incremental.merge import MergeReport, support_generalisations
@@ -239,11 +240,11 @@ def test_stats_and_cache_observability():
 
 
 # --------------------------------------------------------------------------- #
-# In-place index maintenance                                                   #
+# Append-only index maintenance                                                #
 # --------------------------------------------------------------------------- #
 
 
-def test_cube_index_add_remove_touch():
+def test_cube_index_add_and_supersede():
     relation = random_relation(42, max_dims=3)
     cube = compute_closed_cube(relation, min_sup=1, algorithm="naive-closed")
     index = CubeIndex.from_cube(cube)
@@ -253,35 +254,34 @@ def test_cube_index_add_remove_touch():
 
     tall = tuple(relation.row(0))
     new_stats_count = apex_count_before + 100
-    from repro.core.cube import CellStats
-
     extra = tuple(value + 50 for value in tall)
     index.add_cells([(extra, CellStats(new_stats_count, {}, None))])
     assert len(index) == size + 1
     assert index.closure(apex)[1].count == new_stats_count
 
-    index.remove_cells([extra])
-    assert len(index) == size
-    assert index.closure(apex)[1].count == apex_count_before
-    assert all(slot is not None for slot in [index.closure_slot(apex)])
-
-    # touch_cell after an in-place count bump re-evaluates the apex closure.
+    # A grown version of an existing cell takes over its slot; the
+    # superseded stats object moves to the slot's history, untouched.
     cell, stats = next(iter(cube.items()))
-    stats.count += 10_000
-    index.touch_cell(cell)
-    assert index.closure(apex)[1].count == stats.count
+    grown = CellStats(new_stats_count + 10_000, dict(stats.measures), stats.rep_tid)
+    index.add_cells([(cell, grown)])
+    assert len(index) == size + 1 and index.superseded == 1
+    assert index.closure(apex)[1] is grown
+    assert index.closure(cell)[1] is grown
+    assert stats.count < grown.count  # the old stats object was not touched
 
 
-def test_cube_add_and_upsert_keep_live_index_current():
+def test_cube_add_and_apply_keep_live_index_current():
     cube = compute_closed_cube(
         Relation.from_rows([("a", "x"), ("b", "y")]), min_sup=1
     )
     index = cube.closure_index()
-    cube.upsert((0, 0), 41, rep_tid=0)
+    before = cube[(0, 0)]
+    cube.apply([((0, 0), CellStats(41, {}, 0)), ((0, 1), CellStats(3, {}, 0))])
     assert cube.closure_index() is index
     assert cube.closure_query((0, 0)).count == 41
-    cube.remove((0, 0))
-    assert cube.closure_query((0, 0)) is None or cube.closure_query((0, 0)).count != 41
+    assert cube[(0, 0)].count == 41 and before.count != 41
+    assert cube.closure_query((0, 1)).count == 3
+    assert len(cube) == len(index) and index.superseded == 1
 
 
 # --------------------------------------------------------------------------- #

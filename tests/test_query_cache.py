@@ -130,8 +130,9 @@ def test_keys_and_discard_support_targeted_invalidation():
     assert stats["evictions"] == 0, "discards are not evictions"
 
 
-def test_engine_invalidate_drops_only_affected_answers():
+def test_engine_publish_drops_only_affected_answers():
     from repro import Relation, compute_closed_cube, open_query_engine
+    from repro.core.cube import CellStats
 
     relation = Relation.from_rows([("a", "x"), ("a", "y"), ("b", "x")])
     engine = open_query_engine(compute_closed_cube(relation, min_sup=1))
@@ -140,12 +141,13 @@ def test_engine_invalidate_drops_only_affected_answers():
     engine.point(a_cell)
     engine.point(b_cell)
     # A changed cell under (a, *) invalidates it but leaves (b, *) cached.
-    dropped = engine.invalidate([(0, 5)])
+    dropped = engine.publish([((0, 5), CellStats(1, {}, 0))])
     assert dropped == 1
     assert a_cell not in engine.cache
     assert b_cell in engine.cache
+    assert engine.version == 1
     # The apex answer depends on every cell, so any change would drop it.
     apex = (None, None)
     engine.point(apex)
-    assert engine.invalidate([(0, 9)]) >= 1
+    assert engine.publish([((0, 9), CellStats(1, {}, 0))]) >= 1
     assert apex not in engine.cache

@@ -101,8 +101,10 @@ def resolve_target(doc_path: str, target: str,
         os.path.normpath(os.path.join(os.path.dirname(doc_path), path)),
         os.path.normpath(os.path.join(root, path)),
         # Module-path style: docs refer to ``repro/storage/atomic.py``
-        # without the ``src/`` layout prefix.
+        # without the ``src/`` layout prefix, or package-relative to
+        # ``query/engine.py``.
         os.path.normpath(os.path.join(root, "src", path)),
+        os.path.normpath(os.path.join(root, "src", "repro", path)),
     ]
     for candidate in candidates:
         if os.path.exists(candidate):
