@@ -10,24 +10,30 @@ implementations they replaced:
 2. ``grouped``   — the fused group-by + closedness + measure aggregation of
    the MultiWay dense subspace (lexsort + ``reduceat`` run reductions):
    ``grouped_closed_aggregate`` vs the per-tuple dict/state loop.
-3. ``repair``    — batched Lemma-3 closedness repair + measure merge (the
-   inner loop of ``merge_closed_cubes``): ``repair_pairs`` vs the
-   per-candidate reconstruction, over pairs drawn from a real closed cube.
+3. ``delta_support`` — the top-down lattice sweep over an append window
+   (everything ``merge_closed_cubes`` knows about the appended rows):
+   ``delta_support_sweep`` vs its dictionary-upsert reference, over the last
+   1250 tuples of the relation projected to five dimensions.
+4. ``repair``    — batched Lemma-3 closedness repair + measure merge (what
+   ``merge_closed_cubes`` runs for candidates the base has support for but
+   no cell): ``repair_pairs`` vs the per-candidate reconstruction, over
+   pairs drawn from a real closed cube.
 
 Before any timing is trusted the paths are verified value-identical on
 every group and every pair (measure columns are integral-valued, so sums
 are exact under both summation orders).
 
-Gating is shaped by what vectorization can honestly buy.  The two
-*reduction* kernels (``aggregate``, ``grouped``) emit one small record per
-group, so NumPy wins big — they carry the ``--min-speedup`` gate (default
-5x).  The ``repair`` kernel's contract requires one Python cell tuple and
-one payload dict *per pair* on the way out (the merge upserts them into the
-cube), so its ceiling is bounded by Python-object materialisation no matter
-how the arithmetic is done — measured ~2x.  It is therefore gated on
-correctness plus a non-regression floor (``--repair-floor``), and the
-merge-path latency win that actually matters (chunked batches + yield
-points) is gated end-to-end by ``bench_load_slo.py`` instead.  When NumPy
+Gating is shaped by what vectorization can honestly buy.  The three
+*reduction* kernels (``aggregate``, ``grouped``, ``delta_support``) emit one
+small record per group, so NumPy wins big — they carry the ``--min-speedup``
+gate (default 5x).  The ``repair`` kernel's contract requires one Python
+cell tuple and one payload dict *per pair* on the way out (the merge upserts
+them into the cube), so its ceiling is bounded by Python-object
+materialisation no matter how the arithmetic is done — measured ~2x.  It is
+therefore gated on correctness plus a non-regression floor
+(``--repair-floor``); since the merge became rows-based it runs on about 1 %
+of an append's candidates, and the append latency that actually matters is
+measured end to end by ``benchmarks/e2e``.  When NumPy
 is unavailable only correctness is gated: the fallback *is* the reference
 path, and a pure-Python leg asserting a speedup of 1x would be a tautology
 dressed as a gate.
@@ -116,6 +122,12 @@ def _repair_pairs(relation: Relation, measures: MeasureSet, count: int):
     return pairs
 
 
+#: The append window the ``delta_support`` row sweeps: a bulk append of the
+#: end-to-end benchmark's ``lifecycle`` workload.
+SWEEP_ROWS = 1250
+SWEEP_DIMS = 5
+
+
 def _time(repeats: int, fn) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -181,10 +193,15 @@ def main(argv: Sequence[str] = None) -> int:
     )
     repair_fast = kernels.repair_pairs(pairs, relation, measures)
     repair_ref = kernels.repair_pairs_python(pairs, relation, measures)
+    swept = relation.project(range(min(SWEEP_DIMS, relation.num_dimensions)))
+    window = (max(0, swept.num_tuples - SWEEP_ROWS), swept.num_tuples)
+    sweep_fast = kernels.delta_support_sweep(swept, *window, measures)
+    sweep_ref = kernels.delta_support_sweep_python(swept, *window, measures)
     fallback_matches = (
         agg_fast == agg_ref
         and grouped_fast == grouped_ref
         and repair_fast == repair_ref
+        and sweep_fast == sweep_ref
     )
 
     agg_vector = _time(
@@ -210,6 +227,14 @@ def main(argv: Sequence[str] = None) -> int:
             relation, all_tids, key_columns, measures, True
         ),
     )
+    sweep_vector = _time(
+        args.repeats,
+        lambda: kernels.delta_support_sweep(swept, *window, measures),
+    )
+    sweep_python = _time(
+        args.repeats,
+        lambda: kernels.delta_support_sweep_python(swept, *window, measures),
+    )
     repair_vector = _time(
         args.repeats, lambda: kernels.repair_pairs(pairs, relation, measures)
     )
@@ -222,31 +247,38 @@ def main(argv: Sequence[str] = None) -> int:
 
     aggregate_speedup = _ratio(agg_python, agg_vector)
     grouped_speedup = _ratio(grouped_python, grouped_vector)
+    delta_support_speedup = _ratio(sweep_python, sweep_vector)
     repair_speedup = _ratio(repair_python, repair_vector)
     speedup = min(aggregate_speedup, grouped_speedup)
     passed = fallback_matches and (
         not vectorized
-        or (speedup >= args.min_speedup and repair_speedup >= args.repair_floor)
+        or (
+            speedup >= args.min_speedup
+            and delta_support_speedup >= args.min_speedup
+            and repair_speedup >= args.repair_floor
+        )
     )
 
     print(f"backend: {backend.name} (vectorized={vectorized})")
     print(f"relation: {args.tuples} tuples x {args.dims} dims "
           f"(C={args.cardinality}), {len(groups)} groups, "
-          f"{len(grouped_fast)} grouped keys, {len(pairs)} pairs")
-    print(f"paths agree on every group, key, and pair: {fallback_matches}")
-    print(f"{'kernel':<12} {'per-tuple':>12} {'vectorized':>12} {'speedup':>9}")
+          f"{len(grouped_fast)} grouped keys, {len(sweep_fast.cells)} swept "
+          f"cells, {len(pairs)} pairs")
+    print(f"paths agree on every group, key, cell, and pair: {fallback_matches}")
+    print(f"{'kernel':<14} {'per-tuple':>12} {'vectorized':>12} {'speedup':>9}")
     for name, ref, fast, ratio in (
         ("aggregate", agg_python, agg_vector, aggregate_speedup),
         ("grouped", grouped_python, grouped_vector, grouped_speedup),
+        ("delta_support", sweep_python, sweep_vector, delta_support_speedup),
         ("repair", repair_python, repair_vector, repair_speedup),
     ):
-        print(f"{name:<12} {ref * 1e3:>10.1f}ms {fast * 1e3:>10.1f}ms "
+        print(f"{name:<14} {ref * 1e3:>10.1f}ms {fast * 1e3:>10.1f}ms "
               f"{ratio:>8.1f}x")
     if vectorized:
         verdict = "PASS" if passed else "FAIL"
-        print(f"{verdict}: reduction kernels {speedup:.1f}x "
-              f"(need >= {args.min_speedup:.1f}x), repair {repair_speedup:.1f}x "
-              f"(floor {args.repair_floor:.1f}x)")
+        print(f"{verdict}: reduction kernels {speedup:.1f}x, delta_support "
+              f"{delta_support_speedup:.1f}x (need >= {args.min_speedup:.1f}x), "
+              f"repair {repair_speedup:.1f}x (floor {args.repair_floor:.1f}x)")
     else:
         verdict = "PASS" if passed else "FAIL"
         print(f"{verdict}: pure-python backend — correctness gated only")
@@ -270,6 +302,7 @@ def main(argv: Sequence[str] = None) -> int:
         fallback_matches=fallback_matches,
         aggregate_speedup=aggregate_speedup,
         grouped_speedup=grouped_speedup,
+        delta_support_speedup=delta_support_speedup,
         repair_speedup=repair_speedup,
         speedup=speedup,
         min_speedup=args.min_speedup,
@@ -278,6 +311,8 @@ def main(argv: Sequence[str] = None) -> int:
         aggregate_python_seconds=agg_python,
         grouped_vector_seconds=grouped_vector,
         grouped_python_seconds=grouped_python,
+        delta_support_vector_seconds=sweep_vector,
+        delta_support_python_seconds=sweep_python,
         repair_vector_seconds=repair_vector,
         repair_python_seconds=repair_python,
     )

@@ -88,13 +88,16 @@ def _vector_rule(report: Dict) -> Tuple[bool, str]:
         # so only correctness is gated (see the bench_vector docstring).
         return matches, detail + " (pure-python backend, correctness only)"
     ok, speed_detail = _speedup_rule(report)
+    sweep = float(report["delta_support_speedup"])
+    sweep_ok = sweep >= float(report["min_speedup"])
     repair = float(report["repair_speedup"])
     floor = float(report["repair_floor"])
     repair_ok = repair >= floor
     detail += (
-        f", {speed_detail}, repair {repair:.2f}x (floor >= {floor:.2f}x)"
+        f", {speed_detail}, delta_support {sweep:.2f}x, "
+        f"repair {repair:.2f}x (floor >= {floor:.2f}x)"
     )
-    return matches and ok and repair_ok, detail
+    return matches and ok and sweep_ok and repair_ok, detail
 
 
 def _rollup_router_rule(report: Dict) -> Tuple[bool, str]:

@@ -20,9 +20,9 @@ The package provides:
   point: named dimensions and measures, raw values, a fluent build chain, and
   an algorithm auto-planner,
 * incremental cube maintenance (:mod:`repro.incremental`) — append fact rows
-  to a served cube and merge a delta cube in with aggregation-based
-  closedness repair instead of recomputing, with in-place index maintenance
-  and targeted cache invalidation,
+  to a served cube and fold them in by aggregation-based checking (one
+  lattice sweep over the new rows) instead of recomputing, with in-place
+  index maintenance and targeted cache invalidation,
 * snapshot persistence (:mod:`repro.storage.snapshot`) — a versioned on-disk
   format (``ServingCube.save`` / ``ServingCube.load``) so a cube survives
   process restarts and keeps appending afterwards,

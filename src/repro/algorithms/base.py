@@ -175,46 +175,6 @@ class CubingAlgorithm(ABC):
         cube.measure_set = self.options.measures
         return RunResult(cube, elapsed, self.name, dict(self.counters))
 
-    def run_delta(
-        self,
-        relation: Relation,
-        start_tid: int,
-        delta_relation: Optional[Relation] = None,
-    ) -> RunResult:
-        """Compute a cube over only the tuples appended since ``start_tid``.
-
-        The *delta mode* of :meth:`run`: ``relation`` is the already-grown
-        fact table (see :meth:`repro.core.relation.Relation.append_rows`) and
-        ``start_tid`` the first appended tuple id.  The algorithm runs
-        unchanged over the delta window — sharing the relation's (append-only)
-        dictionary encoding, so delta cells use the same codes as the base
-        cube — and the resulting cube's representative tuple ids are shifted
-        back into the full relation's tid space, which is exactly what
-        :meth:`repro.core.cube.CubeResult.merge` needs to re-evaluate
-        closedness against the combined data.
-
-        ``delta_relation`` lets a caller that already materialised the delta
-        window (e.g. to plan the algorithm from its shape) pass it in instead
-        of re-selecting it; it must equal
-        ``relation.select(range(start_tid, relation.num_tuples))``.
-        """
-        if not 0 <= start_tid <= relation.num_tuples:
-            raise AlgorithmError(
-                f"delta start tid {start_tid} outside 0..{relation.num_tuples}"
-            )
-        if delta_relation is None:
-            delta_relation = relation.select(range(start_tid, relation.num_tuples))
-        elif delta_relation.num_tuples != relation.num_tuples - start_tid:
-            raise AlgorithmError(
-                f"delta_relation has {delta_relation.num_tuples} tuples; the "
-                f"window {start_tid}..{relation.num_tuples} has "
-                f"{relation.num_tuples - start_tid}"
-            )
-        result = self.run(delta_relation)
-        result.cube.shift_rep_tids(start_tid)
-        result.stats["delta_tuples"] = relation.num_tuples - start_tid
-        return result
-
     def bump(self, counter: str, amount: int = 1) -> None:
         """Increment a named per-run counter."""
         self.counters[counter] = self.counters.get(counter, 0) + amount

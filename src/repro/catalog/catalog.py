@@ -23,8 +23,8 @@ process died.
 **Compaction.**  The append journal grows without bound until something folds
 it.  :meth:`CubeCatalog.compact` does that fold in one of two modes:
 *incremental* (the default when the cube supports exact delta maintenance)
-writes a delta segment — the appended rows plus the closed delta cube over
-them — next to the base snapshot; *full* rewrites a fresh snapshot under a
+writes a delta segment — the appended rows as encoded column tails — next to
+the base snapshot; *full* rewrites a fresh snapshot under a
 new generation file name.  Either way the manifest advances ``journal_offset``
 in the same atomic manifest flip that publishes the new file, so a crash at
 any point leaves a consistent chain: the half-written file is unreferenced
@@ -386,9 +386,9 @@ class CubeCatalog:
         ``mode``:
 
         * ``"incremental"`` — write a compacted *delta segment* (the appended
-          rows plus the closed delta cube over them) next to the base
-          snapshot; the cheap fold, available when the cube supports exact
-          delta maintenance (full closed cube, unpartitioned).
+          rows as encoded column tails) next to the base snapshot; the cheap
+          fold, available when the cube supports exact delta maintenance
+          (full closed cube, unpartitioned).
         * ``"full"`` — rewrite one fresh v2 snapshot under a new generation
           file name, dropping all segments; always available.
         * ``"auto"`` (default) — incremental when supported, else full;
@@ -751,11 +751,14 @@ class CubeCatalog:
                 ]
                 batches = self._read_journal(entry)
             cube = ServingCube.load(snapshot_path, segments=segment_paths)
-            for batch in batches:
-                rows = [
-                    tuple(row) if isinstance(row, list) else row for row in batch
-                ]
-                cube.append(rows)
+            # The closed cube — counts and ``min`` representatives included —
+            # is a function of the relation alone, so the whole journal tail
+            # folds in one append, not one per journaled batch.
+            cube.append([
+                tuple(row) if isinstance(row, list) else row
+                for batch in batches
+                for row in batch
+            ])
             with self._lock:
                 existing = self._cubes.get(name)
                 if existing is not None:

@@ -146,9 +146,9 @@ def meet_cells(first: Cell, second: Cell) -> Cell:
     A dimension is fixed in the meet iff both cells fix it to the same value;
     every other dimension becomes ``*``.  Unlike :func:`merge_cells` (the
     join, which may not exist) the meet always exists — in the worst case it
-    is the apex cell.  Incremental maintenance builds on the fact that every
-    closed cell of a union of two relations with support on both sides is the
-    meet of a closed cell of each side (see :mod:`repro.incremental.merge`).
+    is the apex cell.  It is what the Lemma 3 merge of two closedness states
+    computes: over a union of two relations, a cell's closure is the meet of
+    its closures on each side (see :mod:`repro.incremental.merge`).
     """
     if len(first) != len(second):
         raise SchemaError("cells being met must have the same dimensionality")
@@ -163,10 +163,9 @@ def generalisations(cell: Cell) -> Iterable[Cell]:
 
     Yields ``2^arity`` cells, including ``cell`` itself and the apex.  This is
     the single-cell reference enumeration (used by tests as an oracle); the
-    incremental merge enumerates generalisations of *many* related cells at
-    once through the deduplicating breadth-first walk in
-    :func:`repro.incremental.merge.support_generalisations`, which visits
-    shared generalisations only once.
+    incremental merge enumerates the generalisations of *all* appended rows
+    at once, each shared cell once, with the top-down sweep of
+    :func:`repro.vector.kernels.delta_support_sweep`.
     """
     from itertools import combinations
 

@@ -180,7 +180,7 @@ def closed_cell_state(cell: Cell, rep_tid: Optional[int]) -> ClosednessState:
     This is what makes a materialised closed cube *mergeable*: the
     reconstructed states feed straight into :meth:`ClosednessState.merge`
     (Lemma 3), which is how :mod:`repro.incremental.merge` repairs closedness
-    when folding a delta cube into a base cube.
+    when folding appended tuples into a base cube.
 
     Raises :class:`~repro.core.errors.IncrementalError` when ``rep_tid`` is
     missing — a cube computed without representative-tuple tracking cannot be

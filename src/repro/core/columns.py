@@ -13,8 +13,9 @@ through:
 * :class:`ColumnStore` — cached, append-aware columnar views of one
   relation's dimension and measure columns under a backend.  The relation's
   canonical storage stays plain Python lists (every algorithm indexes
-  ``columns[dim][tid]`` directly); the store materialises typed snapshots on
-  demand and rebuilds them when the relation grows.
+  ``columns[dim][tid]`` directly); the store keeps typed, capacity-doubling
+  buffers beside them and extends each by the column's new tail when the
+  relation grows, so no kernel pays O(relation) because of an append.
 
 Backend selection is capability-detected once at import and can be forced
 for tests and benchmarks: the ``REPRO_COLUMN_BACKEND=python`` environment
@@ -30,7 +31,7 @@ from __future__ import annotations
 import os
 from array import array
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 _FORCED = os.environ.get("REPRO_COLUMN_BACKEND", "").strip().lower()
 
@@ -131,13 +132,16 @@ def use_backend(name: str) -> Iterator[ColumnBackend]:
 
 
 class ColumnStore:
-    """Cached columnar views of one relation under one backend.
+    """Cached, append-aware columnar views of one relation under one backend.
 
-    Views are snapshots keyed by column length: :meth:`repro.core.relation.
-    Relation.append_rows` only ever *extends* columns, so a cached view is
-    stale exactly when its length no longer matches the column's — the store
-    rebuilds on the next access and never hands out a view of half-appended
-    data.  Under the fallback backend the dimension/measure accessors return
+    :meth:`repro.core.relation.Relation.append_rows` only ever *extends*
+    columns, so each typed buffer is kept across appends and extended by the
+    column's new tail alone: an access after a 4-row append converts 4
+    elements, whatever the relation's size.  Buffers grow by doubling, a view
+    is the filled prefix ``buffer[:n]``, and tail writes land beyond every
+    view handed out so far — a view taken earlier stays valid (and keeps its
+    length) across later appends, including a reallocation, which leaves the
+    old buffer to its views.  Under the fallback backend the accessors return
     the relation's own lists (plain-list indexing *is* the fastest
     dependency-free path), so the store never copies unless it accelerates.
     """
@@ -147,30 +151,49 @@ class ColumnStore:
     def __init__(self, relation: object, backend: Optional[ColumnBackend] = None) -> None:
         self.relation = relation
         self.backend = backend if backend is not None else get_backend()
-        self._dims: Dict[int, Sequence[int]] = {}
-        self._measures: Dict[int, Sequence[float]] = {}
+        #: Per column: ``(elements filled, buffer)``.  One tuple, replaced
+        #: whole, so a concurrent reader sees a matching pair.
+        self._dims: Dict[int, Tuple[int, object]] = {}
+        self._measures: Dict[int, Tuple[int, object]] = {}
+
+    def _view(
+        self,
+        cache: Dict[int, Tuple[int, object]],
+        key: int,
+        column: Sequence[object],
+        convert: Callable[[Sequence[object]], object],
+    ) -> object:
+        total = len(column)
+        filled, buffer = cache.get(key) or (0, None)
+        if buffer is None or total < filled:
+            # First use (or the column was replaced by a shorter one).
+            buffer = convert(column)
+        elif total > filled:
+            if total > len(buffer):
+                grown = self.backend.np.empty(
+                    max(total, 2 * len(buffer)), dtype=buffer.dtype
+                )
+                grown[:filled] = buffer[:filled]
+                buffer = grown
+            buffer[filled:total] = convert(column[filled:total])
+        else:
+            return buffer[:total]
+        cache[key] = (total, buffer)
+        return buffer[:total]
 
     def dimension(self, dim: int) -> Sequence[int]:
         """Columnar view of one dimension column (current length)."""
         column = self.relation.columns[dim]
         if self.backend.np is None:
             return column
-        cached = self._dims.get(dim)
-        if cached is None or len(cached) != len(column):
-            cached = self.backend.int_array(column)
-            self._dims[dim] = cached
-        return cached
+        return self._view(self._dims, dim, column, self.backend.int_array)
 
     def measure(self, index: int) -> Sequence[float]:
         """Columnar view of one measure column (current length)."""
         column = self.relation.measure_columns[index]
         if self.backend.np is None:
             return column
-        cached = self._measures.get(index)
-        if cached is None or len(cached) != len(column):
-            cached = self.backend.float_array(column)
-            self._measures[index] = cached
-        return cached
+        return self._view(self._measures, index, column, self.backend.float_array)
 
     def dimensions(self) -> list:
         """Views of every dimension column, in schema order."""

@@ -11,8 +11,8 @@ needs:
   non-materialised) cell from the closed cube alone, which is what makes the
   closed cube a lossless compression,
 * cube size accounting in cells and estimated bytes (Figures 13 and 14),
-* incremental maintenance — :meth:`CubeResult.merge` folds a delta cube into
-  this one with aggregation-based closedness repair
+* incremental maintenance — :meth:`CubeResult.merge` folds appended tuples
+  into this cube by aggregation-based checking
   (:mod:`repro.incremental.merge`).
 
 Together with its closure index (:class:`repro.query.index.CubeIndex`) a cube
@@ -150,43 +150,20 @@ class CubeResult:
         if self._closure_index is not None:
             self._closure_index.add_cells(slots)
 
-    def shift_rep_tids(self, offset: int) -> None:
-        """Shift every representative tuple id by ``offset``.
-
-        Used by delta-mode runs: a delta cube is computed over a re-based
-        slice of the grown relation, and its rep_tids must be translated back
-        into the full relation's tid space before merging.  Every cell gets a
-        fresh stats object (none is edited), so any closure index built so
-        far is dropped and rebuilt on next use.
-        """
-        if offset == 0:
-            return
-        self._cells = {
-            cell: stats if stats.rep_tid is None
-            else CellStats(stats.count, stats.measures, stats.rep_tid + offset)
-            for cell, stats in self._cells.items()
-        }
-        self._closure_index = None
-
     def merge(
         self,
-        delta: "CubeResult",
         relation: Relation,
+        start_tid: int,
         measures: Optional[MeasureSet] = None,
-        delta_tid_offset: int = 0,
     ) -> "MergeReport":
-        """Fold a delta closed cube into this one, repairing closedness.
+        """Fold the tuples ``start_tid..`` of ``relation`` into this cube.
 
-        Both cubes must be *full closed* cubes (``closed=True, min_sup=1``)
-        over the same schema, computed with representative-tuple tracking;
-        ``relation`` is the combined fact table (base tuples first, delta
-        tuples appended) against which closedness is re-evaluated.
-        ``delta_tid_offset`` shifts the delta cube's representative tuple ids
-        into the combined tid space when the delta was computed over a
-        re-based relation (cubes produced by
-        :meth:`repro.algorithms.base.CubingAlgorithm.run_delta` are already
-        shifted).  ``measures`` overrides the measure set used to merge
-        payload values; by default the cube's own :attr:`measure_set` is used.
+        This cube must be the *full closed* cube (``closed=True, min_sup=1``)
+        of ``relation``'s first ``start_tid`` tuples, computed with
+        representative-tuple tracking; ``relation`` is the grown fact table
+        (see :meth:`repro.core.relation.Relation.append_rows`).  ``measures``
+        overrides the measure set used to merge payload values; by default
+        the cube's own :attr:`measure_set` is used.
 
         Applies the result to this cube (cells added and superseded, never
         removed — appending tuples can only create or grow closed cells)
@@ -194,18 +171,12 @@ class CubeResult:
         *served* cube is not merged this way: its maintainer evaluates the
         merge with ``apply=False`` and lands the slots inside
         :meth:`repro.query.engine.QueryEngine.publish`.  See
-        :mod:`repro.incremental.merge` for the algorithm and the
-        closedness-repair argument.
+        :mod:`repro.incremental.merge` for the algorithm and the argument
+        for its exactness.
         """
         from ..incremental.merge import merge_closed_cubes
 
-        return merge_closed_cubes(
-            self,
-            delta,
-            relation,
-            measures=measures,
-            delta_tid_offset=delta_tid_offset,
-        )
+        return merge_closed_cubes(self, relation, start_tid, measures=measures)
 
     def clone(self) -> "CubeResult":
         """An independent copy of the store, without superseded statistics.

@@ -51,7 +51,7 @@ class PartitionError(ReproError):
 class IncrementalError(ReproError):
     """Raised when incremental cube maintenance (merge / append) cannot proceed.
 
-    Examples: merging cubes of different dimensionality, a delta cube whose
+    Examples: a relation and a cube of different dimensionality, a cube whose
     cells lack representative tuple ids, or a merge requested on a cube whose
     payload measures cannot be reconstructed into mergeable states.
     """

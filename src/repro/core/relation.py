@@ -103,6 +103,14 @@ class Relation:
                 {code: code for code in set(col)} for col in self.columns
             ]
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The cached column store stays behind when a relation is pickled to
+        # a refresh worker: it is derived state, doubles the payload, and
+        # holds the backend's module object, which cannot be pickled at all.
+        state = dict(self.__dict__)
+        state.pop("_column_store", None)
+        return state
+
     # ------------------------------------------------------------------ #
     # Construction helpers                                                #
     # ------------------------------------------------------------------ #
@@ -230,7 +238,7 @@ class Relation:
 
         The canonical storage stays plain lists — algorithms index
         ``columns[dim][tid]`` directly — but vectorized kernels go through
-        the store's typed snapshots, rebuilt lazily after appends.
+        the store's typed buffers, extended by the new tail after appends.
         """
         from .columns import column_store
 
@@ -338,7 +346,7 @@ class Relation:
 
         Returns the ``(start_tid, end_tid)`` half-open tid range of the
         appended tuples — the delta window incremental maintenance
-        (:mod:`repro.incremental`) computes its delta cube over.
+        (:mod:`repro.incremental`) sweeps.
         """
         start_tid = self.num_tuples
         if not rows:

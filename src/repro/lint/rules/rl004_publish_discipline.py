@@ -11,8 +11,8 @@ object — ``serving.cube.merge(...)``, ``self.cube.apply(...)``, a
 in-flight query with a half-applied merge.  Only :mod:`repro.query.engine`
 (the module that owns ``publish``) may write a cube it did not just create.
 
-Flagged: calls to a ``CubeResult`` mutator (``merge``/``apply``/``add``/
-``shift_rep_tids``) whose receiver is a ``.cube`` attribute chain rooted in
+Flagged: calls to a ``CubeResult`` mutator (``merge``/``apply``/``add``)
+whose receiver is a ``.cube`` attribute chain rooted in
 ``self``/a parameter/module state — i.e. an object that existed before the
 function ran and may be published — and ``merge_closed_cubes(...)`` calls
 whose first argument is such a chain, unless they pass ``apply=False``.  The
@@ -42,7 +42,7 @@ CODE = "RL004"
 NAME = "publish-discipline"
 
 #: CubeResult's mutating methods.
-MUTATORS = {"merge", "apply", "add", "shift_rep_tids"}
+MUTATORS = {"merge", "apply", "add"}
 
 #: The merge function: writes its first argument unless told ``apply=False``.
 MERGE_FUNCTION = "merge_closed_cubes"

@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--refresh-processes", type=int, default=None,
-        help="worker processes for delta/partition cubing "
+        help="worker processes for partition-refresh cubing "
         "(default: compute in the maintenance threads)",
     )
     parser.add_argument(

@@ -15,9 +15,9 @@ never waits on maintenance:
   the maintenance thread pool: the merge is evaluated against the live
   store and lands with one short O(delta) publish, so queries interleave
   with the append and only ever see a fully published cube version;
-* **cubing compute** (the delta cube, partition recomputes) optionally runs
-  in a process pool (``refresh_processes``), taking an append's CPU burn out
-  of the GIL the query threads share.
+* **cubing compute** (the partition recomputes of a partitioned cube's
+  refresh) optionally runs in a process pool (``refresh_processes``), taking
+  that CPU burn out of the GIL the query threads share.
 
 Appends to one cube apply in submission order; appends to different cubes
 overlap.  Queries against cube A proceed while cube B (or A!) is mid-append
@@ -103,8 +103,9 @@ class AsyncCubeServer:
         worker for its whole merge, so this bounds *concurrent* appends
         (appends to one cube serialise regardless).
     refresh_processes:
-        When set, a ``spawn`` process pool of this size computes delta cubes
-        and partition recomputes, freeing the GIL for query threads.
+        When set, a ``spawn`` process pool of this size computes the
+        partition recomputes of partitioned cubes, freeing the GIL for query
+        threads (delta-merge appends are cheaper in process).
     refresh_executor:
         Alternatively, bring your own executor for the cubing compute (the
         tests inject a thread pool); mutually exclusive with
@@ -674,7 +675,6 @@ class AsyncCubeServer:
             loaded = self.catalog.get_loaded(name)
             if loaded is not None:
                 entry["version"] = loaded.version
-                entry["merge_cache"] = dict(loaded.merge_cache_stats)
                 entry["store"] = loaded.store_stats()
                 rollups = loaded.rollup_stats()
                 # A summary, not the full per-grain table map: stats() runs

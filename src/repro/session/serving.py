@@ -306,16 +306,6 @@ class ServingCube:
         #: Lazily created single worker thread behind :meth:`append_async`
         #: (one per cube, so async appends to one cube stay ordered).
         self._append_pool: Optional[ThreadPoolExecutor] = None
-        #: Remote-merge worker-cache traffic (see
-        #: :meth:`repro.incremental.maintainer.CubeMaintainer._remote_merge`):
-        #: how many merges shipped only the delta because the worker still
-        #: held the base state, how many had to resend the full base, and how
-        #: many delta attempts missed and fell back.
-        self.merge_cache_stats: Dict[str, int] = {
-            "delta_sends": 0,
-            "full_sends": 0,
-            "misses": 0,
-        }
         #: Compacting rebuilds of the cube's append-only store so far (see
         #: :meth:`repro.incremental.maintainer.CubeMaintainer._compact_store`).
         self.store_compactions = 0
@@ -523,9 +513,9 @@ class ServingCube:
         reported, never silent:
 
         * full closed cubes (``min_sup == 1``) take the incremental path —
-          a delta cube over only the appended tuples (algorithm chosen by the
-          planner for the delta's shape) is merged in with aggregation-based
-          closedness repair: the merge is evaluated against the live store
+          one lattice sweep over only the appended tuples, merged in by
+          aggregation-based checking (see :mod:`repro.incremental.merge`):
+          the merge is evaluated against the live store
           while queries keep reading it, then the changed cells' new
           statistics are appended to the store and exactly the affected
           cached answers invalidated in one short exclusive section —
@@ -539,10 +529,10 @@ class ServingCube:
         Every path is safe beside concurrent queries.  ``copy_on_publish`` is
         accepted for compatibility and no longer selects anything (there is
         one publish path; see ``docs/MIGRATION.md``).  ``executor``
-        optionally offloads the delta / partition cubing to a
+        optionally offloads a partitioned cube's per-partition cubing to a
         :class:`concurrent.futures` executor — with a process pool
-        (:func:`repro.incremental.parallel.create_refresh_pool`) the compute
-        escapes the GIL entirely.
+        (:func:`repro.incremental.parallel.create_refresh_pool`) that
+        compute escapes the GIL entirely; delta merges run in process.
 
         Queries answered after ``append`` returns are exactly the queries a
         from-scratch rebuild over the grown relation would answer.
@@ -819,8 +809,7 @@ class ServingCube:
         """Write the rows appended since ``start_tid`` as a delta segment.
 
         The incremental counterpart of :meth:`save`: instead of rewriting the
-        whole snapshot, persist only the appended column tails plus the
-        closed delta cube over them (see
+        whole snapshot, persist only the appended column tails (see
         :func:`repro.storage.snapshot.save_delta_segment`).  Reload with
         ``ServingCube.load(base_path, segments=[...])``.  Only
         exact-maintenance configurations (full closed cubes) can be
@@ -942,13 +931,6 @@ class ServingCube:
         stats["materialised_cells"] = len(self.cube)
         stats["fact_rows"] = self.relation.num_tuples
         stats["cache_info"] = self.cache_info()
-        from ..incremental.parallel import worker_cache_stats
-
-        merge_cache: Dict[str, object] = dict(self.merge_cache_stats)
-        # The in-process view of the worker-resident cache (complete under a
-        # thread pool; per-worker under a process pool — see parallel.py).
-        merge_cache["worker"] = worker_cache_stats()
-        stats["merge_cache"] = merge_cache
         stats["rollups"] = self.rollup_stats()
         stats["store"] = self.store_stats()
         if self.build_seconds is not None:

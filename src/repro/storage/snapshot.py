@@ -41,14 +41,16 @@ mandatory END frame carries the expected totals; a file that stops before it
 checksum mismatch and an unknown version byte.
 
 v2 also has an **incremental mode**: :func:`save_delta_segment` writes a
-*delta segment* — the appended relation rows plus the closed *delta cube*
-over exactly those rows — instead of rewriting the world.
-:func:`load_snapshot` accepts an ordered list of segments and folds each one
-into the base with the same aggregation-based closedness repair
+*delta segment* — the appended relation rows as typed column tails, plus the
+grown value dictionaries — instead of rewriting the world.
+:func:`load_snapshot` accepts an ordered list of segments and folds each
+one's rows into the base with the same merge
 (:func:`repro.incremental.merge.merge_closed_cubes`) the live append path
 uses, landing on the exact serving state.  Segments are how
 :meth:`repro.catalog.CubeCatalog.compact` folds a long append journal without
-rewriting the base snapshot.
+rewriting the base snapshot.  (Segments written before the merge became
+rows-based also carry the closed delta cube of their rows as CELLS frames;
+those still load — the frames are checked and skipped.)
 
 Writes go through a same-directory temporary file followed by an atomic
 rename, so readers never observe a half-written snapshot.
@@ -218,10 +220,9 @@ def _write_cell_frames(stream: BinaryIO, cube: CubeResult):
     """Write ``cube``'s cells as CELLS frames, yielding each written chunk.
 
     The single serialisation point for the cell tuple shape
-    ``(cell, count, measures, rep_tid)`` — full snapshots and delta segments
-    must agree on it or a loader could not merge segments into bases.
-    Callers must drain the generator; full snapshots use the yielded chunks
-    to derive posting lists in write order.
+    ``(cell, count, measures, rep_tid)``.  Callers must drain the generator;
+    full snapshots use the yielded chunks to derive posting lists in write
+    order.
     """
     items = iter(cube.items())
     while True:
@@ -300,13 +301,13 @@ def _write_v2(serving: "ServingCube", stream: BinaryIO) -> None:
 def save_delta_segment(serving: "ServingCube", path: str, start_tid: int) -> int:
     """Write the rows appended since ``start_tid`` as a compacted delta segment.
 
-    The segment holds the appended column tails, the grown value
-    dictionaries, and the *closed delta cube* over exactly those rows —
-    the compacted form of an append journal: closedness collapses every
-    journaled batch down to the closed cells it actually touched.  Apply with
-    ``load_snapshot(base, segments=[...])``; folding reuses
-    :func:`repro.incremental.merge.merge_closed_cubes`, so the loaded state
-    is cell-for-cell what the live append path produced.
+    The segment holds the appended column tails and the grown value
+    dictionaries — the compacted form of an append journal: encoded columns
+    instead of line-JSON batches.  Apply with
+    ``load_snapshot(base, segments=[...])``; folding extends the relation and
+    runs :func:`repro.incremental.merge.merge_closed_cubes` over the
+    segment's window, so the loaded state is cell-for-cell what the live
+    append path produced.
 
     Only exact-maintenance configurations can be segmented (full closed
     cubes: ``closed=True, min_sup == 1``, unpartitioned, at most
@@ -314,9 +315,6 @@ def save_delta_segment(serving: "ServingCube", path: str, start_tid: int) -> int
     anything else must rewrite the base (see
     :func:`delta_segment_supported`).  Returns the segment size in bytes.
     """
-    from ..algorithms.base import CubingOptions, get_algorithm
-    from ..session.planner import plan_algorithm
-
     _check_config(serving)
     reason = delta_segment_supported(serving)
     if reason is not None:
@@ -329,23 +327,6 @@ def save_delta_segment(serving: "ServingCube", path: str, start_tid: int) -> int
         )
     if start_tid == num_tuples:
         raise SnapshotError("no rows appended since the base; nothing to fold")
-    config = serving.config
-    measures = MeasureSet(tuple(config.measures))
-    delta_relation = relation.select(range(start_tid, num_tuples))
-    plan = plan_algorithm(
-        delta_relation, min_sup=1, closed=True, with_measures=bool(measures)
-    )
-    options = CubingOptions(
-        min_sup=1,
-        closed=True,
-        measures=measures,
-        dimension_order=config.dimension_order,
-    )
-    # run_delta re-bases representative tuple ids into the *combined* tid
-    # space, so segment cells merge with offset 0 at load time.
-    result = get_algorithm(plan.algorithm, options).run_delta(
-        relation, start_tid, delta_relation=delta_relation
-    )
 
     def write_body(stream: BinaryIO) -> None:
         stream.write(_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_V2))
@@ -355,8 +336,7 @@ def save_delta_segment(serving: "ServingCube", path: str, start_tid: int) -> int
             "rows": num_tuples - start_tid,
             "dimensions": relation.num_dimensions,
             "decoders": [dict(decoder) for decoder in relation.decoders],
-            "algorithm": result.algorithm,
-            "num_cells": len(result.cube),
+            "num_cells": 0,
         })
         for index, column in enumerate(relation.columns):
             _write_column_frames(
@@ -366,10 +346,8 @@ def save_delta_segment(serving: "ServingCube", path: str, start_tid: int) -> int
             _write_column_frames(
                 stream, "measure", index, column[start_tid:num_tuples]
             )
-        for _chunk in _write_cell_frames(stream, result.cube):
-            pass
         _write_frame(stream, FRAME_END, {
-            "cells": len(result.cube), "postings": 0, "best_slot": None,
+            "cells": 0, "postings": 0, "best_slot": None,
         })
 
     return _atomic_write(path, write_body)
@@ -379,7 +357,7 @@ def delta_segment_supported(serving: "ServingCube") -> Optional[str]:
     """``None`` when ``serving`` can be incrementally snapshotted, else why not.
 
     The conditions mirror the exact incremental-maintenance gate: segment
-    folding replays :func:`~repro.incremental.merge.merge_closed_cubes`,
+    folding runs :func:`~repro.incremental.merge.merge_closed_cubes`,
     which is exact only for full closed cubes.
     """
     from ..incremental.maintainer import MAX_DELTA_DIMS
@@ -687,7 +665,7 @@ def _apply_segment(
                 f"{path!r} is not a delta segment (format version {version})"
             )
         meta: Optional[Dict[str, object]] = None
-        delta: Optional[CubeResult] = None
+        legacy_cells = 0
         dim_tails: List[List[object]] = []
         measure_tails: List[List[float]] = []
         for kind, obj in _read_frames(stream, path):
@@ -711,8 +689,7 @@ def _apply_segment(
                     )
                 dim_tails = [[] for _ in range(relation.num_dimensions)]
                 measure_tails = [[] for _ in relation.measure_columns]
-                delta = CubeResult(relation.num_dimensions)
-            elif meta is None or delta is None:
+            elif meta is None:
                 raise SnapshotError(
                     f"{path!r} carries data before its META frame"
                 )
@@ -726,19 +703,20 @@ def _apply_segment(
                     )
                 target[index].extend(values)
             elif kind == FRAME_CELLS:
-                for cell, count, cell_measures, rep_tid in obj:
-                    delta.add(cell, count, cell_measures, rep_tid)
+                # The delta cube an earlier build wrote beside the rows; the
+                # merge below works from the rows alone.
+                legacy_cells += len(obj)
             elif kind == FRAME_END:
-                if len(delta) != obj["cells"]:
+                if legacy_cells != obj["cells"]:
                     raise SnapshotError(
                         f"{path!r} is incomplete: expected {obj['cells']} "
-                        f"delta cells, found {len(delta)}"
+                        f"delta cells, found {legacy_cells}"
                     )
             else:
                 raise SnapshotError(
                     f"{path!r} contains an unknown frame kind {kind:#04x}"
                 )
-    if meta is None or delta is None:
+    if meta is None:
         raise SnapshotError(f"{path!r} is missing its META frame")
     if any(len(tail) != meta["rows"] for tail in dim_tails + measure_tails):
         raise SnapshotError(
@@ -751,10 +729,9 @@ def _apply_segment(
         relation.measure_columns[index].extend(tail)
     for dim, decoder in enumerate(meta["decoders"]):
         relation.decoders[dim].update(decoder)
-    delta.measure_set = measures
-    # The exact same closed-cube merge the live append path runs — segment
-    # rep_tids are already global (run_delta re-based them at write time).
-    cube.merge(delta, relation, measures=measures, delta_tid_offset=0)
+    # The exact same merge the live append path runs, over this segment's
+    # window of the grown relation.
+    cube.merge(relation, meta["start"], measures=measures)
 
 
 def _open_serving(

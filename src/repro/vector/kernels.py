@@ -23,35 +23,32 @@ Kernels
   (:meth:`repro.algorithms.multiway.DenseSubspace._aggregate_base`).  This
   is the kernel shape where vectorization pays most: the output is one small
   record per *group*, not one Python object per tuple.
+* :func:`delta_support_sweep` — one top-down pass over the cuboid lattice of
+  an append window: every cell the window supports comes out with its delta
+  count, representative tuple id, Closed Mask and measure values, each
+  cuboid derived from a parent's groups rather than from the tuples.  It is
+  the whole "delta cube" of :mod:`repro.incremental.merge`.
 * :func:`repair_pairs` — the Lemma-3 closedness repair + measure merge of
-  :mod:`repro.incremental.merge`, batched over every candidate materialised
-  on both sides of a merge.
+  :mod:`repro.incremental.merge`, batched over the candidates a merge finds
+  base support for but no base cell.
 * :func:`slice_targets` — project matching index slots onto a slice's
   ``fixed + group_by`` cuboid and deduplicate, replacing the per-slot loop
   in :meth:`repro.query.engine.QueryEngine._slice_targets`.
 
-Candidate generation over the generalisation lattice stays on the BFS of
-:func:`repro.incremental.merge.support_generalisations` on purpose: a
-level-wise ``np.unique`` formulation was measured 5x *slower* at scale
-(190k input cells), because every generalisation must round-trip through a
-Python tuple to land in the result set — the same per-element
-materialisation cost that bounds :func:`repair_pairs` (see
-``docs/PAPER_NOTES.md``).
-
 Exactness: the repair kernel performs the *same* IEEE operations in the same
 per-candidate order as ``MeasureSet.merge_values`` (e.g. avg merges as
 ``(v1*c1 + v2*c2) / (c1+c2)``), so its results are bit-identical.  The
-group-aggregation kernel reduces each measure column with NumPy's pairwise
-summation where the reference folds sequentially; both are exact on the
-integral-valued measure data the suites use, and the lattice-exhaustive
-tests are the oracle that keeps the claim honest (see
+group-aggregation and sweep kernels reduce each measure column with NumPy's
+pairwise summation where the reference folds sequentially; both are exact
+on the integral-valued measure data the suites use, and the
+lattice-exhaustive tests are the oracle that keeps the claim honest (see
 ``docs/PAPER_NOTES.md``).
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain, repeat
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..core.cell import Cell, make_cell
 from ..core.closedness import ClosednessState, closed_cell_state
@@ -76,6 +73,10 @@ from ..core.relation import Relation
 MIN_AGGREGATE_TIDS = 16
 MIN_GROUPED_TIDS = 64
 MIN_REPAIR_PAIRS = 8
+#: The vector sweep pays a fixed cost per cuboid (2^D of them), the scalar
+#: sweep one dictionary upsert per (row, cuboid): they cross at a few dozen
+#: rows whatever the dimensionality.
+MIN_SWEEP_ROWS = 32
 MIN_SLICE_SLOTS = 16
 
 #: One side of a repair candidate, flattened:
@@ -389,6 +390,211 @@ def grouped_closed_aggregate(
             tuple(rows[index]) if rows is not None else (),
         )
     return out
+
+
+# --------------------------------------------------------------------------- #
+# Delta support sweep: every lattice cell an append window touches             #
+# --------------------------------------------------------------------------- #
+
+
+class DeltaTable(NamedTuple):
+    """Every lattice cell with support in an append window, as columns.
+
+    Row ``i`` describes cell ``cells[i]`` restricted to the window's tuples:
+    how many of them aggregate into it, the smallest of their tuple ids
+    (Definition 6), their Closed Mask (Definition 7: bit ``d`` set iff they
+    all share one value on ``d``) and their finalised payload measure values
+    (a dict of its own per row, empty without payload measures).  Rows come
+    in :func:`repro.core.cell.sort_key` order on both backends.
+    """
+
+    cells: List[Cell]
+    counts: List[int]
+    reps: List[int]
+    masks: List[int]
+    values: List[Dict[str, float]]
+
+
+def _cuboids_top_down(num_dims: int) -> List[Tuple[int, int]]:
+    """``(cuboid, dropped dimension)`` for every proper cuboid, finest first.
+
+    A cuboid is the bit set of its fixed dimensions.  Each is derived from
+    the one parent that additionally fixes its lowest ``*`` dimension, so the
+    sweep visits every cuboid once and a parent always precedes its children.
+    """
+    full = (1 << num_dims) - 1
+    plan = []
+    for cuboid in sorted(range(full), key=lambda bits: -bin(bits).count("1")):
+        missing = full & ~cuboid
+        plan.append((cuboid, (missing & -missing).bit_length() - 1))
+    return plan
+
+
+def _cuboid_sort_key(num_dims: int):
+    """Orders cuboids the way :func:`repro.core.cell.sort_key` orders cells."""
+    return lambda bits: (
+        bin(bits).count("1"),
+        tuple((bits >> dim) & 1 for dim in range(num_dims)),
+    )
+
+
+def delta_support_sweep_python(
+    relation: Relation, start_tid: int, end_tid: int, measures: MeasureSet
+) -> DeltaTable:
+    """Reference sweep: one dictionary upsert per (group, cuboid).
+
+    Groups fold in sorted order at every level — the order the vector path's
+    run reductions visit them in — so counts, tuple ids, masks and extrema
+    agree exactly, and sums do wherever float addition is exact (the
+    integral-valued measures the suites pin; see the module docstring).
+    """
+    columns = relation.columns
+    num_dims = relation.num_dimensions
+    # Per group: [count, min tid, per-dimension minima, maxima, measure states].
+    groups: Dict[Cell, list] = {}
+    for tid in range(start_tid, end_tid):
+        row = tuple(column[tid] for column in columns)
+        states = measures.create_states(relation, tid) if measures else None
+        entry = groups.get(row)
+        if entry is None:
+            groups[row] = [1, tid, row, row, states]
+        else:
+            entry[0] += 1
+            if states is not None:
+                measures.merge_states(entry[4], states)
+    full = (1 << num_dims) - 1
+    cuboids = {full: sorted(groups.items())}
+    for cuboid, dropped in _cuboids_top_down(num_dims):
+        groups = {}
+        for cell, (count, rep, lows, highs, states) in cuboids[cuboid | 1 << dropped]:
+            general = cell[:dropped] + (None,) + cell[dropped + 1 :]
+            entry = groups.get(general)
+            if entry is None:
+                groups[general] = [
+                    count, rep, lows, highs,
+                    measures.clone_states(states) if states is not None else None,
+                ]
+            else:
+                entry[0] += count
+                if rep < entry[1]:
+                    entry[1] = rep
+                entry[2] = tuple(map(min, entry[2], lows))
+                entry[3] = tuple(map(max, entry[3], highs))
+                if states is not None:
+                    measures.merge_states(entry[4], states)
+        cuboids[cuboid] = sorted(groups.items())
+    table = DeltaTable([], [], [], [], [])
+    for cuboid in sorted(cuboids, key=_cuboid_sort_key(num_dims)):
+        for cell, (count, rep, lows, highs, states) in cuboids[cuboid]:
+            table.cells.append(cell)
+            table.counts.append(count)
+            table.reps.append(rep)
+            table.masks.append(
+                sum(1 << dim for dim in range(num_dims) if lows[dim] == highs[dim])
+            )
+            table.values.append(
+                measures.values(states) if states is not None else {}
+            )
+    return table
+
+
+def delta_support_sweep(
+    relation: Relation, start_tid: int, end_tid: int, measures: MeasureSet
+) -> DeltaTable:
+    """Aggregate the window ``[start_tid, end_tid)`` into every cell it supports.
+
+    One top-down pass over the cuboid lattice: the window's distinct rows are
+    grouped once, and every coarser cuboid is derived from a parent's groups,
+    never from the tuples again.  That works because everything a cell needs
+    is distributive — count (sum), representative tuple id (min), the Closed
+    Mask via per-dimension ``min == max`` (min / max), and the measure states
+    — so the cost is O(cells with window support × D) on either backend.
+    """
+    backend = get_backend()
+    if (
+        backend.np is None
+        or end_tid - start_tid < MIN_SWEEP_ROWS
+        or not vectorizable_measures(measures)
+    ):
+        return delta_support_sweep_python(relation, start_tid, end_tid, measures)
+    np = backend.np
+    num_dims = relation.num_dimensions
+    store = column_store(relation)
+    window = [store.dimension(dim)[start_tid:end_tid] for dim in range(num_dims)]
+    order, starts = lexsort_runs(window)
+    # The sort is stable: each run's first index is its smallest tuple id.
+    first = order[starts]
+    lows = np.stack([column[first] for column in window], axis=1)
+    counts = np.diff(np.append(starts, len(order)))
+    state_ops = []
+    state_columns = []
+    gathered: Dict[str, object] = {}
+    for spec in measures.specs:
+        if type(spec) is CountMeasure:
+            state_ops.append(np.add)
+            state_columns.append(counts.astype(np.float64))
+            continue
+        column = gathered.get(spec.column)
+        if column is None:
+            index = relation.schema.measure_index(spec.column)
+            column = store.measure(index)[start_tid:end_tid][order]
+            gathered[spec.column] = column
+        op = {MinMeasure: np.minimum, MaxMeasure: np.maximum}.get(type(spec), np.add)
+        state_ops.append(op)
+        state_columns.append(op.reduceat(column, starts))
+    # Per cuboid: (counts, min tids, per-dimension minima, maxima, states).
+    full = (1 << num_dims) - 1
+    cuboids = {full: (counts, first + start_tid, lows, lows, state_columns)}
+    for cuboid, dropped in _cuboids_top_down(num_dims):
+        counts, reps, lows, highs, states = cuboids[cuboid | 1 << dropped]
+        fixed = [dim for dim in range(num_dims) if (cuboid >> dim) & 1]
+        if fixed:
+            order, starts = lexsort_runs([lows[:, dim] for dim in fixed])
+        else:
+            order, starts = np.arange(len(counts)), np.zeros(1, dtype=np.int64)
+        if len(starts) == len(order):
+            # Every parent group is its own group here: reorder, fold nothing.
+            cuboids[cuboid] = (
+                counts[order], reps[order], lows[order], highs[order],
+                [column[order] for column in states],
+            )
+            continue
+        cuboids[cuboid] = (
+            np.add.reduceat(counts[order], starts),
+            np.minimum.reduceat(reps[order], starts),
+            np.minimum.reduceat(lows[order], starts, axis=0),
+            np.maximum.reduceat(highs[order], starts, axis=0),
+            [
+                op.reduceat(column[order], starts)
+                for op, column in zip(state_ops, states)
+            ],
+        )
+    names = [spec.name for spec in measures.specs]
+    bit_of = np.left_shift(1, np.arange(num_dims, dtype=np.int64))
+    table = DeltaTable([], [], [], [], [])
+    for cuboid in sorted(cuboids, key=_cuboid_sort_key(num_dims)):
+        counts, reps, lows, highs, states = cuboids[cuboid]
+        if cuboid:
+            table.cells.extend(zip(*(
+                lows[:, dim].tolist() if (cuboid >> dim) & 1 else repeat(None)
+                for dim in range(num_dims)
+            )))
+        else:
+            table.cells.append((None,) * num_dims)
+        table.counts.extend(counts.tolist())
+        table.reps.extend(reps.tolist())
+        table.masks.extend(((lows == highs) * bit_of).sum(axis=1).tolist())
+        if not names:
+            table.values.extend({} for _ in range(len(counts)))
+            continue
+        finalised = [
+            column / counts if type(spec) is AvgMeasure else column
+            for spec, column in zip(measures.specs, states)
+        ]
+        table.values.extend(
+            dict(zip(names, row)) for row in np.stack(finalised, axis=1).tolist()
+        )
+    return table
 
 
 # --------------------------------------------------------------------------- #

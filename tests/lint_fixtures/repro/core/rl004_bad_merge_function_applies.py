@@ -5,6 +5,6 @@ class Maintainer:
     def __init__(self, serving):
         self.serving = serving
 
-    def refresh(self, merge_closed_cubes, delta, relation):
+    def refresh(self, merge_closed_cubes, relation, start_tid):
         # Applies the slots outside the engine's write lock.
-        return merge_closed_cubes(self.serving.cube, delta, relation)
+        return merge_closed_cubes(self.serving.cube, relation, start_tid)

@@ -5,6 +5,6 @@ class Maintainer:
     def __init__(self, serving):
         self.serving = serving
 
-    def refresh(self, delta, relation):
+    def refresh(self, relation, start_tid):
         # Every in-flight query races this half-applied merge.
-        self.serving.cube.merge(delta, relation)
+        self.serving.cube.merge(relation, start_tid)

@@ -5,8 +5,8 @@ class Maintainer:
     def __init__(self, serving):
         self.serving = serving
 
-    def refresh(self, merge_closed_cubes, delta, relation):
+    def refresh(self, merge_closed_cubes, relation, start_tid):
         report = merge_closed_cubes(
-            self.serving.cube, delta, relation, apply=False
+            self.serving.cube, relation, start_tid, apply=False
         )
         self.serving.engine.publish(report.slots)

@@ -152,6 +152,53 @@ def test_unsaved_appends_replay_from_the_journal(catalog):
     assert reopened.open("sales").point({"store": "s9"}).count == 1
 
 
+@pytest.mark.parametrize("with_measures", [False, True])
+def test_replay_folds_the_whole_tail_in_one_append(catalog, monkeypatch, with_measures):
+    """Reopening after a kill lands on the sequentially appended cube —
+    counts, measures and ``min`` representative tids — with one merge."""
+    from repro import Avg, Max, ServingCube
+
+    def rows(seed, count):
+        return [
+            (f"s{(seed + i) % 4}", f"p{(seed * i) % 3}")
+            + ((float((seed + 3 * i) % 11),) if with_measures else ())
+            for i in range(count)
+        ]
+
+    session = CubeSession.from_rows(
+        rows(1, 12),
+        schema={"dimensions": SCHEMA, "measures": ["m"] if with_measures else []},
+    ).closed(min_sup=1)
+    if with_measures:
+        session = session.measures(Sum("m"), Avg("m"), Max("m"))
+    live = catalog.create("sales", session)
+    for seed in (2, 3, 5):
+        catalog.append("sales", rows(seed, 4))
+    with pytest.raises(Exception, match="."):
+        catalog.append("sales", [("only-one-column",)])  # rejected, un-journaled
+    catalog.append("sales", rows(7, 2))
+    # No save(), no compact(): the process "dies" with four journaled batches.
+
+    appends = []
+    real_append = ServingCube.append
+
+    def counting_append(self, batch, **kwargs):
+        appends.append(len(batch))
+        return real_append(self, batch, **kwargs)
+
+    monkeypatch.setattr(ServingCube, "append", counting_append)
+    reopened = CubeCatalog(catalog.directory).open("sales")
+    assert appends == [14]
+    assert reopened.relation.num_tuples == live.relation.num_tuples == 26
+    assert set(reopened.cube) == set(live.cube)
+    for cell, stats in live.cube.items():
+        replayed = reopened.cube[cell]
+        assert (replayed.count, replayed.rep_tid) == (stats.count, stats.rep_tid)
+        # Integral values: sums and extrema are exact, and so is ``avg`` up
+        # to the ulp a merge's value * count reconstruction can cost.
+        assert replayed.measures == pytest.approx(stats.measures, rel=1e-12)
+
+
 def test_save_truncates_the_journal(catalog):
     catalog.create("sales", ROWS, schema=SCHEMA)
     catalog.append("sales", [("s9", "p9")])

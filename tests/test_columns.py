@@ -128,14 +128,74 @@ def test_column_store_fallback_returns_the_relation_lists():
 
 
 @requires_numpy
-def test_column_store_caches_and_invalidates_on_append():
+def test_column_store_extends_views_and_keeps_old_ones_valid():
+    import numpy as np
+
     relation = Relation.from_rows([(0, 1), (1, 1), (2, 0)])
     store = column_store(relation)
     view = store.dimension(0)
-    assert store.dimension(0) is view  # cached while the length matches
-    relation.append_rows([(3, 2)])
-    grown = store.dimension(0)
-    assert grown is not view and len(grown) == 4 and int(grown[3]) == 3
+    assert np.shares_memory(store.dimension(0), view)  # one buffer, no copy
+    # Enough appends to outgrow the buffer more than once.
+    for value in range(3, 40):
+        relation.append_rows([(value, 2)])
+        grown = store.dimension(0)
+        assert grown.tolist() == relation.columns[0]
+    assert view.tolist() == [0, 1, 2]  # survived every reallocation
+
+
+@requires_numpy
+def test_small_append_on_a_large_relation_converts_only_the_tail(monkeypatch):
+    import random
+
+    import numpy as np
+
+    from repro.rollup.table import RollupTable
+
+    rng = random.Random(5)
+    rows = [tuple(rng.randrange(6) for _ in range(4)) for _ in range(50_000)]
+    relation = Relation.from_rows(
+        rows, measures={"m0": [float(tid % 13) for tid in range(len(rows))]}
+    )
+    measures = MeasureSet([SumMeasure("m0"), MinMeasure("m0")])
+    store = column_store(relation)
+    store.dimensions(), store.measure(0)  # the one full conversion
+    table = RollupTable.build(relation, (0, 2), measures)
+
+    converted = 0
+    real_asarray = np.asarray
+
+    def counting_asarray(values, *args, **kwargs):
+        nonlocal converted
+        converted += len(values)
+        return real_asarray(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "asarray", counting_asarray)
+    relation.append_rows(
+        [tuple(rng.randrange(7) for _ in range(4)) for _ in range(4)],
+        measures={"m0": [1.0, 2.0, 3.0, 4.0]},
+    )
+    views = store.dimensions() + [store.measure(0)]
+    monkeypatch.setattr(np, "asarray", real_asarray)
+    assert converted == 4 * len(views)
+
+    # What the extended buffers hold is what a from-scratch store would.
+    fresh = ColumnStore(relation)
+    for view, expected in zip(views, fresh.dimensions() + [fresh.measure(0)]):
+        assert view.dtype == expected.dtype and np.array_equal(view, expected)
+    # ... and so are the consumers' results: the rollup delta fold and a
+    # MultiWay run read the same arrays before and after the change.
+    merged = table.merged_delta(relation)
+    assert merged.rows == RollupTable.build(relation, (0, 2), measures).rows
+    options = CubingOptions(min_sup=1, closed=True, measures=measures)
+    small = relation.select(range(relation.num_tuples - 300, relation.num_tuples))
+    warm = column_store(small)
+    warm.dimensions()
+    small.append_rows([(0, 0, 0, 0)], measures={"m0": [5.0]})
+    extended = get_algorithm("c-cubing-mm", options).run(small).cube
+    object.__setattr__(small, "_column_store", None)
+    assert _cube_snapshot(extended) == _cube_snapshot(
+        get_algorithm("c-cubing-mm", options).run(small).cube
+    )
 
 
 @requires_numpy
@@ -292,10 +352,7 @@ def test_merge_identical_across_backends_including_measures():
     for backend in BACKEND_NAMES:
         with use_backend(backend):
             base = get_algorithm("qcdfs", options).run(base_rel).cube
-            delta = (
-                get_algorithm("qcdfs", options).run_delta(combined, split).cube
-            )
-            report = merge_closed_cubes(base, delta, combined, measures=measures)
+            report = merge_closed_cubes(base, combined, split, measures=measures)
             snapshots[backend] = (
                 _cube_snapshot(base),
                 sorted(report.added, key=sort_key),
@@ -347,9 +404,8 @@ def test_chunked_merge_yields_and_matches_unbatched():
     def build_base():
         return get_algorithm("qcdfs", options).run(base_rel).cube
 
-    delta = get_algorithm("qcdfs", options).run_delta(combined, split).cube
     plain = build_base()
-    merge_closed_cubes(plain, delta, combined, measures=measures)
+    merge_closed_cubes(plain, combined, split, measures=measures)
 
     yields = 0
 
@@ -359,7 +415,7 @@ def test_chunked_merge_yields_and_matches_unbatched():
 
     chunked = build_base()
     report = merge_closed_cubes(
-        chunked, delta, combined, measures=measures,
+        chunked, combined, split, measures=measures,
         batch_size=16, yield_between_batches=on_yield,
     )
     assert yields >= report.candidates // 16 - 1
@@ -372,12 +428,11 @@ def test_chunked_merge_batch_size_does_not_change_the_report():
     split = combined.num_tuples // 2
     base_rel = combined.select(range(split))
     options = CubingOptions(min_sup=1, closed=True, measures=measures)
-    delta = get_algorithm("qcdfs", options).run_delta(combined, split).cube
     outcomes = []
     for batch_size in (None, 1, 7, 10_000):
         base = get_algorithm("qcdfs", options).run(base_rel).cube
         report = merge_closed_cubes(
-            base, delta, combined, measures=measures, batch_size=batch_size
+            base, combined, split, measures=measures, batch_size=batch_size
         )
         outcomes.append(
             (_cube_snapshot(base), report.added, report.updated)

@@ -397,43 +397,12 @@ def _assert_appends_exact(serving, base, batches, reports):
     assert serving.version == len(batches)
 
 
-def test_thread_executor_prepares_merges_remotely():
-    from concurrent.futures import ThreadPoolExecutor
+def test_delta_merge_never_touches_the_executor():
+    """Folding a window in process is cheaper than shipping it anywhere."""
 
-    base, batches = _executor_workload()
-    serving = CubeSession.from_rows(base, schema=DIMS).build()
-    with ThreadPoolExecutor(2) as pool:
-        reports = [
-            serving.append(batch, copy_on_publish=True, executor=pool)
-            for batch in batches
-        ]
-    _assert_appends_exact(serving, base, batches, reports)
-    # Queries after the publishes see the merged state.
-    last = batches[-1][-1]
-    assert serving.point(dict(zip(DIMS, last))).found
-
-
-def test_process_pool_prepares_merges_remotely():
-    """The spawn pool: the append's CPU work really leaves the process."""
-    from repro.incremental.parallel import create_refresh_pool
-
-    base, batches = _executor_workload(29)
-    serving = CubeSession.from_rows(base, schema=DIMS).build()
-    pool = create_refresh_pool(1)
-    try:
-        reports = [
-            serving.append(batch, copy_on_publish=True, executor=pool)
-            for batch in batches
-        ]
-    finally:
-        pool.shutdown()
-    _assert_appends_exact(serving, base, batches, reports)
-
-
-def test_broken_executor_falls_back_to_in_process():
     class ExplodingExecutor:
         def submit(self, *args, **kwargs):
-            raise RuntimeError("pool is gone")
+            raise AssertionError("a delta merge has no work to offload")
 
     base, batches = _executor_workload(31)
     serving = CubeSession.from_rows(base, schema=DIMS).build()
@@ -442,6 +411,27 @@ def test_broken_executor_falls_back_to_in_process():
         for batch in batches
     ]
     _assert_appends_exact(serving, base, batches, reports)
+    # Queries after the publishes see the merged state.
+    last = batches[-1][-1]
+    assert serving.point(dict(zip(DIMS, last))).found
+
+
+def test_partitioned_refresh_through_the_spawn_pool():
+    """The spawn pool: the refresh's cubing really leaves the process."""
+    from repro.incremental.parallel import create_refresh_pool
+
+    base, batches = _executor_workload(29)
+    serving = CubeSession.from_rows(base, schema=DIMS).partitioned("A").build()
+    pool = create_refresh_pool(1)
+    try:
+        report = serving.append(batches[0], executor=pool)
+    finally:
+        pool.shutdown()
+    assert report.mode == "partition-refresh"
+    rebuilt = (
+        CubeSession.from_rows(base + batches[0], schema=DIMS).partitioned("A").build()
+    )
+    assert serving.cube.same_cells(rebuilt.cube)
 
 
 def test_partitioned_refresh_uses_the_executor():
@@ -474,78 +464,3 @@ def test_concurrent_async_appends_apply_in_order():
         base + [row for batch in batches for row in batch], schema=DIMS
     ).build()
     assert serving.cube.same_cells(rebuilt.cube)
-
-
-# --------------------------------------------------------------------------- #
-# Worker-resident merge state                                                  #
-# --------------------------------------------------------------------------- #
-
-
-def test_worker_cache_evicts_oldest_and_clears():
-    from repro.incremental import parallel
-
-    parallel.worker_cache_clear()
-    try:
-        for token in range(parallel.WORKER_CACHE_MAX + 2):
-            parallel.worker_cache_store((token, 10), [])
-        # The two oldest entries fell out; the newest survive.
-        assert parallel.worker_cache_get((0, 10)) is None
-        assert parallel.worker_cache_get((1, 10)) is None
-        assert parallel.worker_cache_get((2, 10)) == []
-        # A get refreshes recency: key 2 now outlives younger untouched keys.
-        parallel.worker_cache_store((90, 10), [])
-        parallel.worker_cache_store((91, 10), [])
-        assert parallel.worker_cache_get((2, 10)) == []
-        assert parallel.worker_cache_get((3, 10)) is None
-    finally:
-        parallel.worker_cache_clear()
-    assert parallel.worker_cache_get((2, 10)) is None
-
-
-def test_merge_task_without_resident_state_raises_cache_miss():
-    from repro.incremental import parallel
-
-    parallel.worker_cache_clear()
-    relation = Relation.from_rows([("a", "b", "c")], DIMS)
-    task = parallel.MergeTask(
-        base_cells=None,
-        relation=relation,
-        start_tid=0,
-        algorithm="qcdfs",
-        cache_key=(999, 0),
-    )
-    with pytest.raises(parallel.WorkerCacheMiss) as excinfo:
-        parallel.run_merge_task(task)
-    assert excinfo.value.cache_key == (999, 0)
-
-
-def test_thread_executor_appends_prime_and_reuse_worker_state():
-    """Warm appends ship delta-only; a cleared cache recovers via retry."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.incremental import parallel
-
-    parallel.worker_cache_clear()
-    base, batches = _executor_workload(41)
-    serving = CubeSession.from_rows(base, schema=DIMS).build()
-    with ThreadPoolExecutor(1) as pool:
-        reports = [serving.append(batches[0], copy_on_publish=True, executor=pool)]
-        # The cold append retained the post-merge cube in the (in-process)
-        # worker cache and left the hint pointing at it.
-        token = serving._merge_state_token
-        hint = serving._merge_state_hint
-        assert hint == (token, serving.relation.num_tuples)
-        assert parallel.worker_cache_get(hint) is not None
-        # Warm append: the resident state answers the delta-only payload.
-        reports.append(
-            serving.append(batches[1], copy_on_publish=True, executor=pool)
-        )
-        assert serving._merge_state_hint == (token, serving.relation.num_tuples)
-        # Evict everything: the delta-only attempt misses and the maintainer
-        # retries with the full cell list — exactness is never at stake.
-        parallel.worker_cache_clear()
-        reports.append(
-            serving.append(batches[2], copy_on_publish=True, executor=pool)
-        )
-    _assert_appends_exact(serving, base, batches, reports)
-    parallel.worker_cache_clear()

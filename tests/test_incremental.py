@@ -23,13 +23,12 @@ from repro import (
     SumMeasure,
     compute_closed_cube,
 )
-from repro.algorithms.base import CubingOptions, get_algorithm
-from repro.core.cell import fixed_mask, generalisations, meet_cells
+from repro.core.cell import fixed_mask, generalisations, meet_cells, sort_key
 from repro.core.closedness import closed_cell_state
 from repro.core.cube import CellStats
 from repro.core.errors import IncrementalError
 from repro.core.measures import MeasureSet
-from repro.incremental.merge import MergeReport, support_generalisations
+from repro.incremental.merge import MergeReport
 from repro.query.index import CubeIndex
 
 from conftest import random_relation
@@ -285,36 +284,47 @@ def test_cube_add_and_apply_keep_live_index_current():
 
 
 # --------------------------------------------------------------------------- #
-# Delta runs and merge-level errors                                            #
+# Tid-window merges and merge-level errors                                     #
 # --------------------------------------------------------------------------- #
 
 
-def test_run_delta_shifts_rep_tids_into_global_space():
+def test_merge_gives_new_cells_window_representatives():
     relation = Relation.from_rows([("a",), ("b",)])
+    base = compute_closed_cube(relation, min_sup=1, algorithm="naive-closed")
     relation.append_rows([("b",), ("c",)])
-    algorithm = get_algorithm("naive-closed", CubingOptions(closed=True))
-    result = algorithm.run_delta(relation, start_tid=2)
-    assert result.stats["delta_tuples"] == 2
-    for _, stats in result.cube.items():
-        assert stats.rep_tid is not None and stats.rep_tid >= 2
+    report = base.merge(relation, 2)
+    assert report.delta_rows == 2
+    c_cell = (relation.encode(0, "c"),)
+    assert report.added == [c_cell] and base[c_cell].rep_tid == 3
+    # A grown cell keeps its base representative: tids below the window.
+    b_cell = (relation.encode(0, "b"),)
+    assert b_cell in report.updated and base[b_cell].rep_tid == 1
+    assert base[b_cell].count == 2
 
 
 def test_merge_rejects_dimension_mismatch():
     one = compute_closed_cube(Relation.from_rows([("a",)]), min_sup=1)
     two_rel = Relation.from_rows([("a", "b")])
-    two = compute_closed_cube(two_rel, min_sup=1)
     with pytest.raises(IncrementalError):
-        one.merge(two, two_rel)
+        one.merge(two_rel, 0)
+
+
+def test_merge_rejects_a_window_outside_the_relation():
+    relation = Relation.from_rows([("a",), ("b",)])
+    base = compute_closed_cube(relation, min_sup=1)
+    with pytest.raises(IncrementalError):
+        base.merge(relation, 3)
+    assert base.merge(relation, 2).slots == []  # the empty window is a no-op
 
 
 def test_merge_requires_rep_tids():
     relation = Relation.from_rows([("a",), ("b",)])
     base = compute_closed_cube(relation, min_sup=1)
-    delta = compute_closed_cube(relation, min_sup=1)
-    for _, stats in delta.items():
+    for _, stats in base.items():
         stats.rep_tid = None
+    relation.append_rows([("a",)])
     with pytest.raises(IncrementalError):
-        base.merge(delta, relation)
+        base.merge(relation, 2)
 
 
 def test_merge_reports_what_changed():
@@ -322,16 +332,14 @@ def test_merge_reports_what_changed():
     relation = Relation.from_rows(rows)
     base = compute_closed_cube(relation, min_sup=1, algorithm="naive-closed")
     relation.append_rows([("a", "y")])
-    delta = (
-        get_algorithm("naive-closed", CubingOptions(closed=True))
-        .run_delta(relation, 2)
-        .cube
-    )
-    report = base.merge(delta, relation)
+    report = base.merge(relation, 2)
     assert isinstance(report, MergeReport)
-    assert report.delta_cells == len(delta)
+    assert report.delta_rows == 1
+    assert report.candidates == 4  # the appended row's whole sub-lattice
     assert set(report.added).isdisjoint(report.updated)
-    assert report.changed_cells()
+    assert [cell for cell, _ in report.slots] == sorted(
+        report.changed_cells(), key=sort_key
+    )
     assert "added" in report.describe()
 
 
@@ -342,16 +350,8 @@ def test_merge_with_mismatched_measures_raises():
     specs = [SumMeasure("m")]
     base = compute_closed_cube(relation, min_sup=1, measures=specs, algorithm="naive-closed")
     relation.append_rows([("c",)], measures={"m": [3.0]})
-    delta = (
-        get_algorithm(
-            "naive-closed",
-            CubingOptions(closed=True, measures=MeasureSet(specs)),
-        )
-        .run_delta(relation, 2)
-        .cube
-    )
     with pytest.raises(IncrementalError):
-        base.merge(delta, relation, measures=MeasureSet([MinMeasure("m")]))
+        base.merge(relation, 2, measures=MeasureSet([MinMeasure("m")]))
 
 
 # --------------------------------------------------------------------------- #
@@ -365,9 +365,6 @@ def test_meet_and_fixed_mask_vocabulary():
     assert fixed_mask((1, None, 2)) == 0b101
     gens = set(generalisations((1, 2)))
     assert gens == {(1, 2), (1, None), (None, 2), (None, None)}
-    assert support_generalisations([(1, 2), (1, 3)]) == {
-        (1, 2), (1, 3), (1, None), (None, 2), (None, 3), (None, None)
-    }
 
 
 def test_closed_cell_state_reconstruction_matches_definition():

@@ -18,7 +18,6 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -560,13 +559,10 @@ def test_session_builder_enables_rollups():
     assert serving.rollup_stats()["grains"] == len(report["installed"])
 
 
-def test_stats_surfaces_recorder_rollups_and_merge_cache():
+def test_stats_surfaces_recorder_and_rollups():
     serving = _serving(_rows(67, 40))
     stats = serving.stats()
     assert stats["rollups"] == {"enabled": False}
-    assert set(stats["merge_cache"]) == {
-        "delta_sends", "full_sends", "misses", "worker",
-    }
     engine_stats = serving.engine.stats()
     assert engine_stats["rollups"] == {"enabled": False}
     assert engine_stats["recorder"]["recorded"] == 0
@@ -644,33 +640,6 @@ def test_refresh_carries_recorder_and_router():
     assert set(serving.engine.router.tables) == grains
 
 
-def test_remote_merge_appends_maintain_rollups_and_count_cache_traffic():
-    from repro.incremental.parallel import worker_cache_stats
-
-    serving = _serving(_rows(83, 60))
-    _drive_traffic(serving)
-    serving.enable_rollups()
-    before = worker_cache_stats()
-    with ThreadPoolExecutor(1) as pool:
-        first = serving.append(_rows(84, 15), copy_on_publish=True, executor=pool)
-        second = serving.append(_rows(85, 15), copy_on_publish=True, executor=pool)
-    assert first.merge_cache == "full-send (cold)"
-    assert second.merge_cache == "delta-send"
-    assert "remote merge payload" in second.describe()
-    assert serving.merge_cache_stats["full_sends"] == 1
-    assert serving.merge_cache_stats["delta_sends"] == 1
-    after = worker_cache_stats()
-    assert after["stores"] >= before["stores"] + 2
-    assert after["hits"] >= before["hits"] + 1
-    queries = [({"A": "a0"}, ["B"]), ({}, ["A"])]
-    routed = [
-        [(a.coordinates_dict(), a.count, a.measures_dict()) for a in
-         serving.slice(fixed, group_by=group)]
-        for fixed, group in queries
-    ]
-    assert routed == _reference_slices(serving, queries)
-
-
 # --------------------------------------------------------------------------- #
 # Server verbs: rollups / advise, stats plumbing, TCP round trip               #
 # --------------------------------------------------------------------------- #
@@ -719,9 +688,6 @@ def test_server_advise_and_rollups_verbs(catalog):
             server_stats = server.stats()
             entry = server_stats["cubes"]["sales"]
             assert entry["rollups"]["enabled"]
-            assert set(entry["merge_cache"]) == {
-                "delta_sends", "full_sends", "misses",
-            }
 
     asyncio.run(scenario())
 

@@ -298,6 +298,76 @@ def test_delta_segments_fold_to_the_live_state(tmp_path):
     assert ServingCube.load(resaved).cube.same_cells(cube.cube)
 
 
+def test_delta_segments_carry_rows_only(tmp_path):
+    cube = CubeSession.from_rows([("a", "x"), ("b", "y")]).closed().build()
+    start = cube.relation.num_tuples
+    cube.append([("c", "z"), ("a", "y")])
+    segment = str(tmp_path / "seg")
+    cube.save_delta(segment, start)
+    with open(segment, "rb") as stream:
+        kinds = [kind for kind, _start, _length in frame_spans(stream.read())]
+    assert FRAME_CELLS not in kinds
+
+
+def test_segment_written_with_a_delta_cube_still_loads(tmp_path):
+    """Earlier builds wrote the closed delta cube beside the rows."""
+    import pickle
+
+    from repro import compute_closed_cube
+    from repro.storage import snapshot as snapshot_module
+
+    base_rows, delta_rows = split_rows(7)
+    cube = CubeSession.from_rows(base_rows).closed(min_sup=1).build()
+    base = str(tmp_path / "base.snap")
+    cube.save(base)
+    start = cube.relation.num_tuples
+    cube.append(delta_rows)
+    relation = cube.relation
+    window = relation.select(range(start, relation.num_tuples))
+    delta_cube = compute_closed_cube(window, min_sup=1)
+
+    def write_legacy(stream):
+        write_frame = snapshot_module._write_frame
+        stream.write(struct.pack(">8sI", SNAPSHOT_MAGIC, SNAPSHOT_V2))
+        write_frame(stream, snapshot_module.FRAME_META, {
+            "kind": "delta", "start": start, "rows": window.num_tuples,
+            "dimensions": relation.num_dimensions,
+            "decoders": [dict(decoder) for decoder in relation.decoders],
+            "algorithm": "qc-dfs", "num_cells": len(delta_cube),
+        })
+        for index, column in enumerate(window.columns):
+            snapshot_module._write_column_frames(stream, "dim", index, column)
+        for _chunk in snapshot_module._write_cell_frames(stream, delta_cube):
+            pass
+        write_frame(stream, snapshot_module.FRAME_END, {
+            "cells": len(delta_cube), "postings": 0, "best_slot": None,
+        })
+
+    segment = str(tmp_path / "legacy.seg")
+    with open(segment, "wb") as stream:
+        write_legacy(stream)
+    loaded = ServingCube.load(base, segments=[segment])
+    assert loaded.cube.same_cells(cube.cube), loaded.cube.diff(cube.cube)
+    assert {c: s.rep_tid for c, s in loaded.cube.items()} == {
+        c: s.rep_tid for c, s in cube.cube.items()
+    }
+    # Its cell frames are still checked against the END frame's count.
+    with open(segment, "rb") as stream:
+        data = bytearray(stream.read())
+    kind, payload_start, length = frame_spans(bytes(data))[-1]
+    end = pickle.loads(bytes(data[payload_start:payload_start + length]))
+    assert kind == snapshot_module.FRAME_END and end["cells"] == len(delta_cube)
+    torn = str(tmp_path / "torn.seg")
+    with open(torn, "wb") as stream:
+        cells_at = next(
+            at - _FRAME.size for k, at, _ in frame_spans(bytes(data)) if k == FRAME_CELLS
+        )
+        stream.write(data[:cells_at])
+        snapshot_module._write_frame(stream, snapshot_module.FRAME_END, end)
+    with pytest.raises(SnapshotError, match="incomplete"):
+        ServingCube.load(base, segments=[torn])
+
+
 def test_delta_segments_must_stack_in_order(tmp_path):
     cube = CubeSession.from_rows([("a", "x"), ("b", "y")]).closed().build()
     base = str(tmp_path / "base.snap")
